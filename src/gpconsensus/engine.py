@@ -1,10 +1,10 @@
 """Fixed-step closed-loop simulation and Monte Carlo orchestration.
 
-One step is: freeze a snapshot of (x, x_bar); evaluate each agent's
-trigger on its pre-update error bound; let fired agents take a
-measurement and grow their model; compute each agent's auxiliary rate
-and input from the snapshot and the post-update posterior mean; advance
-the coupled states one classical Runge-Kutta step with the input held
+One step is: freeze a snapshot of (x, x_bar); for each agent in turn,
+evaluate its trigger on its pre-update error bound, take a measurement
+and grow its model if it fired, and compute its auxiliary rate and
+input from the snapshot and the post-update posterior mean; advance the
+coupled states one classical Runge-Kutta step with the input held
 constant (zero-order hold). All randomness flows from one SplitMix64
 stream per episode, so a config (including its seed) fully determines
 every output byte.
@@ -30,12 +30,13 @@ from .control import (
     control_proposed,
     epsilon_bound,
 )
-from .errors import GpConsensusError
+from .errors import GpConsensusError, OutOfDomain
 from .gp import (
     BoundContext,
     GpModel,
     KernelParams,
     check_gamma_condition,
+    domain_grid,
     estimate_lipschitz,
     make_bound_context,
 )
@@ -43,7 +44,7 @@ from .plants import Measurement, PlantSpec, drift, estimate_lip_f, make_plant, m
 from .presets import apply_case
 from .rng import SplitMix64
 from .topology import Topology, build_topology
-from .triggers import evaluate_trigger
+from .triggers import TriggerDecision, evaluate_trigger
 
 LIP_GRID_STEP = 1e-3
 
@@ -199,19 +200,47 @@ def init_state(run: RunContext, rng: SplitMix64) -> SimState:
     )
 
 
-def _f_hat(run: RunContext, model: GpModel, x: float) -> float:
+def _f_hat(run: RunContext, mu: float, x: float) -> float:
     if run.config.predictor == "gp":
-        return model.posterior(x)[0]
+        return mu
     if run.config.predictor == "oracle":
         return run.plant.f_true(x)
     return run.plant.f_true(x) - run.config.eps_bias  # oracle_biased
 
 
+def _query_agent(
+    run: RunContext, model: GpModel, x: float, x_bar: float
+) -> tuple[float, float, TriggerDecision]:
+    """One posterior query at an agent's state: (mu, eta, trigger decision).
+
+    eta = 2 sqrt(beta) sigma(x) is the bound of the model as passed in, so
+    callers query before any update. This is the only place a trigger is
+    evaluated: every step that needs eta and the terminal row go through it.
+    """
+    mu, sigma = model.posterior(x)
+    eta = 2.0 * run.root_beta * sigma
+    decision = evaluate_trigger(
+        run.trigger_mode,
+        eta,
+        x,
+        x_bar,
+        run.config.c,
+        run.topology.n_agents,
+        run.bound.eta_bar_lower,
+        run.epsilon,
+    )
+    return mu, eta, decision
+
+
 def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = True) -> StepInfo:
     """Advance one control period; returns this step's diagnostics.
 
-    need_eta=False skips the posterior-variance query when no trigger
-    rule consumes it and the step is not being logged.
+    Each agent queries its model once. Where a trigger rule is active or
+    need_eta is set (the step is logged), that query is a full posterior
+    and yields both eta and f_hat; otherwise it is the O(M) mean alone,
+    and eta and rho stay 0. A fired agent takes f_hat from the post-update
+    posterior that also gives sigma_after. Raises OutOfDomain when a state
+    leaves the plant domain or becomes non-finite.
     """
     cfg = run.config
     n = run.topology.n_agents
@@ -220,54 +249,46 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
     eta = np.zeros(n)
     rho = np.zeros(n)
     fired = np.zeros(n, dtype=np.int64)
+    u = np.empty(n)
     events: list[TriggerEvent] = []
 
     want_eta = need_eta or run.trigger_mode != "none"
     for i in range(n):
-        if want_eta:
-            eta[i] = 2.0 * run.root_beta * state.models[i].posterior(x_snap[i])[1]
-        decision = evaluate_trigger(
-            run.trigger_mode,
-            eta[i],
-            x_snap[i],
-            xb_snap[i],
-            cfg.c,
-            n,
-            run.bound.eta_bar_lower,
-            run.epsilon,
-        )
-        rho[i] = decision.rho_value
-        if decision.fired:
-            if cfg.measurement_mode == "oracle" or state.step_index == 0:
-                xdot = drift(run.plant, x_snap[i], state.u_prev[i])
-            else:
-                xdot = (x_snap[i] - state.x_prev[i]) / cfg.dt
-            noise = rng.normal(0.0, cfg.sigma_n)
-            y = measure(run.plant, x_snap[i], state.u_prev[i], xdot, noise)
-            state.models[i].add_point(x_snap[i], y)
-            sigma_after = state.models[i].posterior(x_snap[i])[1]
-            events.append(
-                TriggerEvent(
-                    agent=i,
-                    step_index=state.step_index,
-                    t=state.t,
-                    x=float(x_snap[i]),
-                    y=float(y),
-                    sigma_after=float(sigma_after),
+        model = state.models[i]
+        if not want_eta:
+            mu = model.mean(x_snap[i])
+        else:
+            mu, eta[i], decision = _query_agent(run, model, x_snap[i], xb_snap[i])
+            rho[i] = decision.rho_value
+            if decision.fired:
+                if cfg.measurement_mode == "oracle" or state.step_index == 0:
+                    xdot = drift(run.plant, x_snap[i], state.u_prev[i])
+                else:
+                    xdot = (x_snap[i] - state.x_prev[i]) / cfg.dt
+                noise = rng.normal(0.0, cfg.sigma_n)
+                y = measure(run.plant, x_snap[i], state.u_prev[i], xdot, noise)
+                model.add_point(x_snap[i], y)
+                mu, sigma_after = model.posterior(x_snap[i])
+                events.append(
+                    TriggerEvent(
+                        agent=i,
+                        step_index=state.step_index,
+                        t=state.t,
+                        x=float(x_snap[i]),
+                        y=float(y),
+                        sigma_after=float(sigma_after),
+                    )
                 )
-            )
-            state.trigger_counts[i] += 1
-            fired[i] = 1
+                state.trigger_counts[i] += 1
+                fired[i] = 1
 
-    u = np.empty(n)
-    for i in range(n):
         nbr = run.topology.neighbors[i]
         view = AgentView(
             x=float(x_snap[i]),
             x_bar=float(xb_snap[i]),
             neighbor_x=tuple(float(x_snap[j]) for j in nbr),
             neighbor_x_bar=tuple(float(xb_snap[j]) for j in nbr),
-            f_hat=_f_hat(run, state.models[i], float(x_snap[i])),
+            f_hat=_f_hat(run, mu, float(x_snap[i])),
         )
         rate = auxiliary_rate(view, run.gains)
         if cfg.controller == "proposed":
@@ -292,6 +313,13 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
     state.u_prev = u
     state.step_index += 1
     state.t = state.step_index * cfg.dt
+    inside = (state.x >= plant.domain_lo) & (state.x <= plant.domain_hi)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise OutOfDomain(
+            f"state of agent {i + 1} is {float(state.x[i])!r}, outside "
+            f"[{plant.domain_lo}, {plant.domain_hi}]"
+        )
     return StepInfo(u=u, rho=rho, eta=eta, fired=fired, events=tuple(events))
 
 
@@ -386,31 +414,20 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
         traj.u[row] = state.u_prev
         traj.err[row] = consensus_error(state.x, x_bar_star)
         for i in range(n):
-            traj.eta[row, i] = (
-                2.0 * run.root_beta * state.models[i].posterior(state.x[i])[1]
-            )
-            decision = evaluate_trigger(
-                run.trigger_mode,
-                traj.eta[row, i],
-                state.x[i],
-                state.x_bar[i],
-                cfg.c,
-                n,
-                run.bound.eta_bar_lower,
-                run.epsilon,
+            _, traj.eta[row, i], decision = _query_agent(
+                run, state.models[i], state.x[i], state.x_bar[i]
             )
             traj.rho[row, i] = decision.rho_value
         traj.dataset_size[row] = [m.size for m in state.models]
 
+        # one posterior per model on one grid feeds both end-of-run checks
+        grid = domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)
         gamma_ok = True
         for model in state.models:
-            lip_mu, lip_sigma = estimate_lipschitz(
-                model, run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP
-            )
+            mu, sigma = model.posterior_grid(grid)
+            lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
             ctx_i = replace(run.bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
-            gamma_ok = gamma_ok and bool(
-                check_gamma_condition(ctx_i, model, LIP_GRID_STEP)
-            )
+            gamma_ok = gamma_ok and bool(check_gamma_condition(ctx_i, sigma))
     except GpConsensusError as exc:
         raise type(exc)(
             f"{exc} [case={cfg.case_label or 'custom'} seed={cfg.seed} "

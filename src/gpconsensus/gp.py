@@ -134,6 +134,17 @@ class GpModel:
 
     # -- queries ------------------------------------------------------
 
+    def mean(self, x: float) -> float:
+        """Posterior mean at a scalar query point: one kernel vector, no solve.
+
+        Bit-identical to ``posterior(x)[0]``; use it where sigma is not read.
+        """
+        if self._m == 0:
+            return 0.0
+        m = self._m
+        k = _kernel_vec(self.kernel, self._x[:m], x)
+        return float(k @ self._alpha[:m])
+
     def posterior(self, x: float) -> tuple[float, float]:
         """Posterior mean and standard deviation at a scalar query point."""
         if self._m == 0:
@@ -335,38 +346,37 @@ def error_bound(model: GpModel, ctx: BoundContext, x: float) -> float:
     return 2.0 * math.sqrt(ctx.beta) * sigma
 
 
-def estimate_lipschitz(
-    model: GpModel, domain_lo: float, domain_hi: float, grid_step: float
-) -> tuple[float, float]:
-    """Grid estimates of the slopes of the posterior mean and std.
-
-    Max absolute finite-difference slope over a uniform grid, inflated by
-    a 1.1 safety factor.
-    """
+def domain_grid(domain_lo: float, domain_hi: float, grid_step: float) -> NDArray:
+    """Uniform grid over [domain_lo, domain_hi] with spacing close to grid_step."""
     if not (grid_step > 0.0):
         raise InvalidParam(f"grid_step must be > 0, got {grid_step}")
     if not (domain_hi > domain_lo):
         raise InvalidParam(f"empty domain [{domain_lo}, {domain_hi}]")
     n = max(2, int(round((domain_hi - domain_lo) / grid_step)) + 1)
-    grid = np.linspace(domain_lo, domain_hi, n)
-    mu, sigma = model.posterior_grid(grid)
+    return np.linspace(domain_lo, domain_hi, n)
+
+
+def estimate_lipschitz(grid: NDArray, mu: NDArray, sigma: NDArray) -> tuple[float, float]:
+    """Grid estimates of the slopes of the posterior mean and std.
+
+    Takes a uniform grid and the posterior (mu, sigma) on it; returns the
+    max absolute finite-difference slopes, inflated by a 1.1 safety factor.
+    """
     h = grid[1] - grid[0]
     lip_mu = float(np.max(np.abs(np.diff(mu)))) / h
     lip_sigma = float(np.max(np.abs(np.diff(sigma)))) / h
     return 1.1 * lip_mu, 1.1 * lip_sigma
 
 
-def check_gamma_condition(ctx: BoundContext, model: GpModel, grid_step: float) -> bool:
+def check_gamma_condition(ctx: BoundContext, sigma: NDArray) -> bool:
     """Whether the covering-argument slack fits under the variance floor.
 
     gamma = (lip_f + lip_mu + sqrt(beta) lip_sigma) * tau must not exceed
-    min over the domain grid of sqrt(beta) * sigma(x). A violation means
-    tau was chosen too coarse for how sharp the posterior has become; the
-    caller logs it but does not abort.
+    min over the domain grid of sqrt(beta) * sigma(x), where sigma is the
+    posterior std on that grid. A violation means tau was chosen too
+    coarse for how sharp the posterior has become; the caller logs it but
+    does not abort.
     """
     root_beta = math.sqrt(ctx.beta)
     gamma = (ctx.lip_f + ctx.lip_mu + root_beta * ctx.lip_sigma) * ctx.tau
-    n = max(2, int(round((ctx.domain_hi - ctx.domain_lo) / grid_step)) + 1)
-    grid = np.linspace(ctx.domain_lo, ctx.domain_hi, n)
-    _, sigma = model.posterior_grid(grid)
     return gamma <= root_beta * float(np.min(sigma))

@@ -145,22 +145,19 @@ def summary_rows(records: list) -> list[list[str]]:
     rows = []
     for rec in records:
         if isinstance(rec, EpisodeSummary):
-            case, run, seed = rec.case_label or "custom", 0, rec.seed
-            final_error = rec.final_error
-            trig, dsize = rec.trigger_counts, rec.max_dataset_size
-            epsilon, domain_ok, gamma_ok = rec.epsilon, rec.domain_ok, rec.gamma_ok
-            failed = False
+            case, run, failed = rec.case_label or "custom", 0, False
         else:
-            case, run, seed = rec.case, rec.run, rec.seed
-            final_error = rec.final_error
-            trig, dsize = rec.trigger_counts, rec.max_dataset_size
-            epsilon, domain_ok, gamma_ok = rec.epsilon, rec.domain_ok, rec.gamma_ok
-            failed = rec.failed
+            case, run, failed = rec.case, rec.run, rec.failed
         rows.append(
-            [case, str(run), str(seed), fmt_float(final_error)]
-            + [str(v) for v in trig]
-            + [str(v) for v in dsize]
-            + [fmt_float(epsilon), fmt_bool(domain_ok), fmt_bool(gamma_ok), fmt_bool(failed)]
+            [case, str(run), str(rec.seed), fmt_float(rec.final_error)]
+            + [str(v) for v in rec.trigger_counts]
+            + [str(v) for v in rec.max_dataset_size]
+            + [
+                fmt_float(rec.epsilon),
+                fmt_bool(rec.domain_ok),
+                fmt_bool(rec.gamma_ok),
+                fmt_bool(failed),
+            ]
         )
     return rows
 

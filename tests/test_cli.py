@@ -97,6 +97,22 @@ class TestRun:
         assert err.startswith("numerical failure:")
         assert "case=d" in err
 
+    def test_domain_escape_exits_numerical(self, tmp_path, capsys):
+        # unmodelled drift of +50 pushes every state out of [-1.5, 1.5]
+        cfg = write_config(
+            tmp_path,
+            "plant = affine\nplant.f_offset = 50\nplant.f_slope = 0\n"
+            "learning = offline\noffline_dataset_size = 0\nt_end = 0.5\n",
+        )
+        out_dir = tmp_path / "out"
+        code = main(["run", "--case", "c", "--config", cfg, "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "outside [-1.5, 1.5]" in err
+        assert "case=c" in err
+        assert not out_dir.exists()
+
 
 class TestMonteCarlo:
     def test_sweep_writes_series_and_summary(self, tmp_path, capsys):

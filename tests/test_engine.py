@@ -18,7 +18,7 @@ from gpconsensus.engine import (
     run_monte_carlo,
     step,
 )
-from gpconsensus.errors import CapacityExceeded, ConfigError
+from gpconsensus.errors import CapacityExceeded, ConfigError, OutOfDomain
 from gpconsensus.gp import GpModel
 from gpconsensus.plants import make_appendix_plant, make_benchmark_plant
 from gpconsensus.presets import BENCH_INITIAL_STATES, case_preset
@@ -237,6 +237,84 @@ class TestStep:
             assert ev.t == ev.step_index * cfg.dt
             assert ev.sigma_after <= cfg.sigma_n + 1e-12
             assert -1.5 <= ev.x <= 1.5
+
+
+def escaping_config(**kw) -> SimConfig:
+    """Affine drift of +50 with no model: the states leave [-1.5, 1.5] fast."""
+    base = dict(
+        plant="affine",
+        plant_params=(("f_offset", 50.0), ("f_slope", 0.0)),
+        learning="offline",
+        offline_dataset_size=0,
+        t_end=0.5,
+    )
+    base.update(kw)
+    return dataclasses.replace(case_preset("c"), **base)
+
+
+class TestDomainEscape:
+    def test_escape_raises_with_run_context(self):
+        with pytest.raises(OutOfDomain, match=r"outside \[-1\.5, 1\.5\].*case=c seed=0"):
+            run_episode(escaping_config())
+
+    def test_non_finite_state_raises(self):
+        run = prepare_run(fast_oracle_config())
+        state = init_state(run, SplitMix64(0))
+        state.x[2] = math.nan
+        with pytest.raises(OutOfDomain, match="is nan"):
+            step(state, run, SplitMix64(0))
+
+    def test_boundary_is_inside(self):
+        # appendix plant at rest on its domain edge: x stays exactly at 3.0
+        cfg = fast_oracle_config(
+            n_agents=1, edges=(), initial_states=(3.0,), t_end=0.01
+        )
+        traj, _ = run_episode(cfg)
+        assert np.all(traj.x == 3.0)
+
+    def test_monte_carlo_records_escape_as_failed(self):
+        # sweeps restore case c's 150-point grid; a length scale far below
+        # its 0.02 spacing leaves the mean near 0 between the samples
+        base = escaping_config(seed=3, t_end=0.2, length_scale=1e-4)
+        mc = run_monte_carlo(base, 1, ("c",))
+        (rec,) = mc.records
+        assert rec.failed
+        assert "outside [-1.5, 1.5]" in rec.message
+        assert "case=c seed=3" in rec.message
+
+
+class TestPosteriorQueries:
+    """sigma is computed only where a trigger, a logged row or an event reads it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"posterior": 0, "posterior_grid": 0}
+        for name in counts:
+            original = getattr(GpModel, name)
+
+            def counting(self, x, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(GpModel, name, counting)
+        return counts
+
+    def test_offline_queries_sigma_on_logged_rows_only(self, calls):
+        cfg = dataclasses.replace(case_preset("c"), t_end=0.1)
+        traj, summary = run_episode(cfg)
+        n_logged = traj.t.size - 1
+        assert n_logged == 10
+        assert calls["posterior"] == cfg.n_agents * (n_logged + 1)
+        assert calls["posterior_grid"] == cfg.n_agents
+
+    def test_online_queries_once_per_agent_step_plus_events(self, calls):
+        cfg = dataclasses.replace(case_preset("d"), t_end=0.1)
+        traj, summary = run_episode(cfg)
+        assert summary.events
+        n_steps = 100
+        expected = cfg.n_agents * (n_steps + 1) + len(summary.events)
+        assert calls["posterior"] == expected
+        assert calls["posterior_grid"] == cfg.n_agents
 
 
 class TestRunEpisode:

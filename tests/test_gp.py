@@ -19,6 +19,7 @@ from gpconsensus.gp import (
     _clamp_var,
     check_gamma_condition,
     compute_beta,
+    domain_grid,
     error_bound,
     estimate_lipschitz,
     kernel_eval,
@@ -125,6 +126,16 @@ class TestPosterior:
             mu, sigma = model.posterior(float(q))
             assert mu_g[k] == pytest.approx(mu, abs=1e-12)
             assert sigma_g[k] == pytest.approx(sigma, abs=1e-12)
+
+    def test_mean_is_bitwise_posterior_mean(self):
+        rng = SplitMix64(7004)
+        model = GpModel(BENCH_KERNEL, NOISE_STD)
+        assert model.mean(0.2) == model.posterior(0.2)[0] == 0.0
+        for _ in range(40):
+            model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
+            for _ in range(5):
+                q = rng.uniform(-1.5, 1.5)
+                assert model.mean(q) == model.posterior(q)[0]
 
     def test_interpolates_noisefree_like_data(self):
         rng = SplitMix64(7003)
@@ -329,17 +340,43 @@ class TestErrorBound:
             error_bound(model, make_ctx(), 1.5001)
 
 
+def lipschitz_on_grid(model, domain_lo, domain_hi, grid_step):
+    grid = domain_grid(domain_lo, domain_hi, grid_step)
+    return estimate_lipschitz(grid, *model.posterior_grid(grid))
+
+
+def sigma_on_grid(model, ctx, grid_step):
+    grid = domain_grid(ctx.domain_lo, ctx.domain_hi, grid_step)
+    return model.posterior_grid(grid)[1]
+
+
+class TestDomainGrid:
+    def test_spacing_and_endpoints(self):
+        grid = domain_grid(-1.5, 1.5, 1e-3)
+        assert grid.size == 3001
+        assert grid[0] == -1.5 and grid[-1] == 1.5
+
+    def test_coarse_step_keeps_two_points(self):
+        assert domain_grid(-1.0, 1.0, 10.0).tolist() == [-1.0, 1.0]
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(InvalidParam):
+            domain_grid(-1.0, 1.0, 0.0)
+        with pytest.raises(InvalidParam):
+            domain_grid(1.0, 1.0, 1e-3)
+
+
 class TestLipschitzEstimate:
     def test_empty_model_flat(self):
         model = GpModel(BENCH_KERNEL, NOISE_STD)
-        lip_mu, lip_sigma = estimate_lipschitz(model, -1.5, 1.5, 1e-3)
+        lip_mu, lip_sigma = lipschitz_on_grid(model, -1.5, 1.5, 1e-3)
         assert lip_mu == 0.0
         assert lip_sigma == 0.0
 
     def test_far_datapoint_flat_window(self):
         model = GpModel(BENCH_KERNEL, NOISE_STD)
         model.add_point(100.0, 3.0)
-        lip_mu, _ = estimate_lipschitz(model, -1.0, 1.0, 1e-3)
+        lip_mu, _ = lipschitz_on_grid(model, -1.0, 1.0, 1e-3)
         assert lip_mu == pytest.approx(0.0, abs=1e-6)
 
     def test_grid_refinement_consistency(self):
@@ -347,8 +384,8 @@ class TestLipschitzEstimate:
         model = GpModel(KernelParams(1.0, 0.3), NOISE_STD)
         for _ in range(10):
             model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
-        coarse = estimate_lipschitz(model, -1.5, 1.5, 1e-3)
-        fine = estimate_lipschitz(model, -1.5, 1.5, 1e-4)
+        coarse = lipschitz_on_grid(model, -1.5, 1.5, 1e-3)
+        fine = lipschitz_on_grid(model, -1.5, 1.5, 1e-4)
         assert coarse[0] == pytest.approx(fine[0], rel=0.05)
         assert coarse[1] == pytest.approx(fine[1], rel=0.05)
 
@@ -358,7 +395,7 @@ class TestGammaCondition:
         # gamma = (10 + 80 + 0) * 1e-3 = 0.09 vs sqrt(beta) * 1 = 4.88
         model = GpModel(BENCH_KERNEL, NOISE_STD)
         ctx = make_ctx(lip_f=10.0, lip_mu=80.0)
-        assert check_gamma_condition(ctx, model, 1e-2) is True
+        assert check_gamma_condition(ctx, sigma_on_grid(model, ctx, 1e-2)) is True
 
     def test_fails_for_huge_tau(self):
         model = GpModel(BENCH_KERNEL, NOISE_STD)
@@ -370,7 +407,7 @@ class TestGammaCondition:
             noise_std=NOISE_STD,
             lip_f=10.0,
         )
-        assert check_gamma_condition(ctx, model, 1e-2) is False
+        assert check_gamma_condition(ctx, sigma_on_grid(model, ctx, 1e-2)) is False
 
 
 class TestProbabilisticCoverage:
