@@ -74,9 +74,6 @@ def relaxed_disagreement_rate(
     total = eta.size
     if total == 0:
         raise InvalidParam("no records to compare")
-    disagree = 0
-    for e, xi, xbi in zip(eta.ravel(), x.ravel(), x_bar.ravel()):
-        a = rho_proposed(e, xi, xbi, c, n_agents, eta_bar_lower) > 0.0
-        b = rho_relaxed(e, xi, xbi, c, n_agents, eta_bar_lower, epsilon) > 0.0
-        disagree += a != b
-    return disagree / total
+    a = rho_proposed(eta, x, x_bar, c, n_agents, eta_bar_lower) > 0.0
+    b = rho_relaxed(eta, x, x_bar, c, n_agents, eta_bar_lower, epsilon) > 0.0
+    return np.count_nonzero(a != b) / total

@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .analysis import appendix_solution
-from .config import SimConfig, parse_config_file, validate_config
+from .analysis import appendix_solution, average_state
+from .config import SimConfig, parse_config_file
+from .control import check_domain_containment
 from .engine import prepare_run, run_episode, run_monte_carlo
 from .errors import (
     CapacityExceeded,
@@ -59,14 +61,8 @@ def _resolve_config(case: str | None, config_path: str | None, seed: int | None)
     if seed is not None:
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
-        base = _with(base, seed=seed)
+        base = replace(base, seed=seed)
     return base
-
-
-def _with(config: SimConfig, **kw) -> SimConfig:
-    from dataclasses import replace
-
-    return replace(config, **kw)
 
 
 def cmd_run(args) -> int:
@@ -82,6 +78,11 @@ def cmd_run(args) -> int:
     if not summary.domain_ok:
         print(
             "warning: accuracy band around the initial mean leaves the domain",
+            file=sys.stderr,
+        )
+    if not summary.gamma_ok:
+        print(
+            "warning: bound-validity (gamma) condition fails at t_end",
             file=sys.stderr,
         )
     print(
@@ -103,8 +104,9 @@ def cmd_montecarlo(args) -> int:
             raise ConfigError(f"unknown case {c!r}; expected subset of {CASE_IDS}")
     if args.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
-    mc = run_monte_carlo(base, args.runs, cases, jobs=args.jobs)
+    # validates the base config before any run is spent on it
     probe = prepare_run(apply_case(base, cases[0]))
+    mc = run_monte_carlo(base, args.runs, cases, jobs=args.jobs)
     meta = {
         "cases": ",".join(cases),
         "runs": args.runs,
@@ -131,6 +133,13 @@ def cmd_montecarlo(args) -> int:
         print(f"case={case} runs={len(finals)} median_final_err={fmt_float(med)}")
     if n_failed:
         print(f"warning: {n_failed} runs failed (see summary.csv)", file=sys.stderr)
+    n_gamma = sum(1 for r in mc.records if not r.failed and not r.gamma_ok)
+    if n_gamma:
+        print(
+            f"warning: bound-validity (gamma) condition fails at t_end in "
+            f"{n_gamma} of {len(mc.records) - n_failed} runs",
+            file=sys.stderr,
+        )
     print(f"wrote {mc_path} and {sum_path}")
     return 0
 
@@ -181,7 +190,6 @@ def cmd_appendix(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _resolve_config(args.case, args.config, None)
-    validate_config(config)
     run = prepare_run(config)
     print(f"config ok (digest {run.digest})")
     print(f"beta = {fmt_float(run.bound.beta)}")
@@ -189,9 +197,7 @@ def cmd_validate(args) -> int:
     print(f"epsilon = {fmt_float(run.epsilon)}")
     print(f"lip_f = {fmt_float(run.bound.lip_f)}")
     if config.initial_states is not None:
-        x_bar_star = sum(config.initial_states) / len(config.initial_states)
-        from .control import check_domain_containment
-
+        x_bar_star = average_state(config.initial_states)
         ok = check_domain_containment(
             run.plant.domain_lo, run.plant.domain_hi, x_bar_star, run.epsilon
         )

@@ -1,19 +1,24 @@
 """Distributed control laws and the auxiliary consensus dynamics.
 
-Every function here is a pure per-agent computation on a frozen snapshot
-of local and neighbor state. The conventional law drives plain state
-disagreement; the compensated law drives the disagreement between each
-state and a noise-free auxiliary system that performs exact average
-consensus on the initial conditions, which is what confines the effect
-of residual model error.
+Every law here is evaluated for all agents at once on a frozen snapshot
+of the state vectors, yet agent i's entry reads only its own state and
+its neighbors'. The conventional law drives plain state disagreement;
+the compensated law drives the disagreement between each state and a
+noise-free auxiliary system that performs exact average consensus on
+the initial conditions, which is what confines the effect of residual
+model error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.typing import NDArray
+
 from .errors import InvalidParam, SingularGain
 from .plants import PlantSpec
+from .topology import Topology
 
 
 @dataclass(frozen=True)
@@ -30,61 +35,66 @@ class ControlGains:
             raise InvalidParam(f"c_bar must be > 0, got {self.c_bar}")
 
 
-@dataclass(frozen=True)
-class AgentView:
-    """Everything one agent can see when computing its input.
+def _neighbor_disagreement(v: NDArray, topology: Topology) -> NDArray:
+    """sum_j (v_i - v_j) over each agent's neighbors j.
 
-    f_hat is the model's posterior mean at the agent's own current
-    state; neighbor lists are aligned with the topology's neighbor order.
+    Terms are added one neighbor slot at a time in neighbor order, which
+    rounds exactly like a scalar running sum; a padded slot gathers v_i
+    itself and adds exactly 0.0.
     """
-
-    x: float
-    x_bar: float
-    neighbor_x: tuple[float, ...]
-    neighbor_x_bar: tuple[float, ...]
-    f_hat: float
+    total = np.zeros(v.shape)
+    for idx in topology.gather:
+        total += v - v[idx]
+    return total
 
 
-def auxiliary_rate(view: AgentView, gains: ControlGains) -> float:
-    """Rate of the agent's auxiliary state: -c_bar * sum_j (x_bar_i - x_bar_j)."""
-    disagreement = sum(view.x_bar - xbj for xbj in view.neighbor_x_bar)
-    return -gains.c_bar * disagreement
+def auxiliary_rate(x_bar: NDArray, topology: Topology, gains: ControlGains) -> NDArray:
+    """Rates of the auxiliary states: -c_bar * sum_j (x_bar_i - x_bar_j)."""
+    return -gains.c_bar * _neighbor_disagreement(x_bar, topology)
 
 
-def _checked_gain(plant: PlantSpec, x: float) -> float:
-    gain = plant.g(x)
-    if abs(gain) < plant.g_min:
-        raise SingularGain(f"|g({x:.6g})| = {abs(gain):.3g} < g_min={plant.g_min}")
-    return gain
+def _known_terms(plant: PlantSpec, x: NDArray) -> tuple[NDArray, NDArray]:
+    """h(x) and g(x) per agent; raises SingularGain where |g| < g_min."""
+    xs = x.tolist()
+    gain = [plant.g(xi) for xi in xs]
+    for xi, gi in zip(xs, gain):
+        if abs(gi) < plant.g_min:
+            raise SingularGain(f"|g({xi:.6g})| = {abs(gi):.3g} < g_min={plant.g_min}")
+    return np.array([plant.h(xi) for xi in xs]), np.array(gain)
 
 
-def control_conventional(view: AgentView, plant: PlantSpec, gains: ControlGains) -> float:
+def control_conventional(
+    x: NDArray, f_hat: NDArray, topology: Topology, plant: PlantSpec, gains: ControlGains
+) -> NDArray:
     """Feedback-linearizing law on raw state disagreement.
 
-    u = -(1/g) ( h(x) + f_hat + c * sum_j (x_i - x_j) ).
+    u_i = -(1/g) ( h(x_i) + f_hat_i + c * sum_j (x_i - x_j) ).
     """
-    gain = _checked_gain(plant, view.x)
-    consensus = sum(view.x - xj for xj in view.neighbor_x)
-    return -(plant.h(view.x) + view.f_hat + gains.c * consensus) / gain
+    h, gain = _known_terms(plant, x)
+    consensus = _neighbor_disagreement(x, topology)
+    return -(h + f_hat + gains.c * consensus) / gain
 
 
 def control_proposed(
-    view: AgentView, plant: PlantSpec, gains: ControlGains, x_bar_rate: float
-) -> float:
+    x: NDArray,
+    x_bar: NDArray,
+    f_hat: NDArray,
+    topology: Topology,
+    plant: PlantSpec,
+    gains: ControlGains,
+    x_bar_rate: NDArray,
+) -> NDArray:
     """Compensated law on auxiliary-relative disagreement.
 
     With xt_i = x_i - x_bar_i,
-    u = -(1/g) ( h(x) + f_hat + c ( sum_j (xt_i - xt_j) + xt_i ) - x_bar_rate ),
-    where x_bar_rate is the closed-form rate of the agent's auxiliary
-    state this same step (no numerical differentiation).
+    u_i = -(1/g) ( h(x_i) + f_hat_i + c ( sum_j (xt_i - xt_j) + xt_i ) - x_bar_rate_i ),
+    where x_bar_rate is the closed-form rate of the auxiliary states this
+    same step (no numerical differentiation).
     """
-    gain = _checked_gain(plant, view.x)
-    xt = view.x - view.x_bar
-    consensus = sum(
-        xt - (xj - xbj) for xj, xbj in zip(view.neighbor_x, view.neighbor_x_bar)
-    )
-    r = consensus + xt
-    return -(plant.h(view.x) + view.f_hat + gains.c * r - x_bar_rate) / gain
+    h, gain = _known_terms(plant, x)
+    xt = x - x_bar
+    r = _neighbor_disagreement(xt, topology) + xt
+    return -(h + f_hat + gains.c * r - x_bar_rate) / gain
 
 
 def epsilon_bound(gains: ControlGains, n_agents: int, eta_bar_lower: float) -> float:

@@ -1,13 +1,13 @@
 """Fixed-step closed-loop simulation and Monte Carlo orchestration.
 
-One step is: freeze a snapshot of (x, x_bar); for each agent in turn,
-evaluate its trigger on its pre-update error bound, take a measurement
-and grow its model if it fired, and compute its auxiliary rate and
-input from the snapshot and the post-update posterior mean; advance the
-coupled states one classical Runge-Kutta step with the input held
-constant (zero-order hold). All randomness flows from one SplitMix64
-stream per episode, so a config (including its seed) fully determines
-every output byte.
+One step is: freeze a snapshot of (x, x_bar); evaluate every agent's
+trigger on its pre-update error bound; let each fired agent, in agent
+order, take a measurement and grow its model; compute the auxiliary
+rates and inputs of all agents from the snapshot and the post-update
+posterior means; advance the coupled states one classical Runge-Kutta
+step with the input held constant (zero-order hold). All randomness
+flows from one SplitMix64 stream per episode, so a config (including
+its seed) fully determines every output byte.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from numpy.typing import NDArray
 from .analysis import average_state, consensus_error
 from .config import TRIGGER_FOR_LEARNING, SimConfig, config_hash, validate_config
 from .control import (
-    AgentView,
     ControlGains,
     auxiliary_rate,
     check_domain_containment,
@@ -30,7 +29,7 @@ from .control import (
     control_proposed,
     epsilon_bound,
 )
-from .errors import GpConsensusError, OutOfDomain
+from .errors import ConfigError, GpConsensusError, OutOfDomain
 from .gp import (
     BoundContext,
     GpModel,
@@ -40,11 +39,11 @@ from .gp import (
     estimate_lipschitz,
     make_bound_context,
 )
-from .plants import Measurement, PlantSpec, drift, estimate_lip_f, make_plant, measure
+from .plants import PlantSpec, drift, estimate_lip_f, make_plant, measure
 from .presets import apply_case
 from .rng import SplitMix64
 from .topology import Topology, build_topology
-from .triggers import TriggerDecision, evaluate_trigger
+from .triggers import evaluate_trigger
 
 LIP_GRID_STEP = 1e-3
 
@@ -78,9 +77,16 @@ class RunContext:
 
 
 def prepare_run(config: SimConfig) -> RunContext:
+    """Validate a config against itself and its plant; derive the fixed run data."""
     validate_config(config)
     topology = build_topology(config.n_agents, config.edges)
     plant = make_plant(config.plant, **dict(config.plant_params))
+    for i, x0 in enumerate(config.initial_states or ()):
+        if not plant.domain_lo <= x0 <= plant.domain_hi:
+            raise ConfigError(
+                f"initial state of agent {i + 1} is {x0!r}, outside "
+                f"[{plant.domain_lo}, {plant.domain_hi}]"
+            )
     gains = ControlGains(c=config.c, c_bar=config.c_bar)
     kernel = KernelParams(sigma_f=config.sigma_f, length_scale=config.length_scale)
     lip_f = (
@@ -149,17 +155,13 @@ class StepInfo:
 
 def make_offline_dataset(
     plant: PlantSpec, size: int, sigma_n: float, rng: SplitMix64
-) -> list[Measurement]:
-    """Noisy samples of the hidden term on a uniform grid over the domain."""
+) -> tuple[NDArray, NDArray]:
+    """Noisy samples (xs, ys) of the hidden term on a uniform grid over the domain."""
     if size < 0:
         raise GpConsensusError(f"offline dataset size must be >= 0, got {size}")
-    if size == 0:
-        return []
-    grid = np.linspace(plant.domain_lo, plant.domain_hi, size)
-    return [
-        Measurement(x=float(x), y=plant.f_true(float(x)) + rng.normal(0.0, sigma_n), t=0.0)
-        for x in grid
-    ]
+    xs = np.linspace(plant.domain_lo, plant.domain_hi, size)
+    ys = np.array([plant.f_true(x) + rng.normal(0.0, sigma_n) for x in xs.tolist()])
+    return xs, ys
 
 
 def init_state(run: RunContext, rng: SplitMix64) -> SimState:
@@ -175,15 +177,11 @@ def init_state(run: RunContext, rng: SplitMix64) -> SimState:
     models = []
     for _ in range(n):
         if cfg.offline_dataset_size > 0:
-            data = make_offline_dataset(
+            xs, ys = make_offline_dataset(
                 run.plant, cfg.offline_dataset_size, cfg.sigma_n, rng
             )
             model = GpModel.from_data(
-                run.kernel,
-                cfg.sigma_n,
-                [m.x for m in data],
-                [m.y for m in data],
-                max_points=cfg.max_points,
+                run.kernel, cfg.sigma_n, xs, ys, max_points=cfg.max_points
             )
         else:
             model = GpModel(run.kernel, cfg.sigma_n, max_points=cfg.max_points)
@@ -200,26 +198,19 @@ def init_state(run: RunContext, rng: SplitMix64) -> SimState:
     )
 
 
-def _f_hat(run: RunContext, mu: float, x: float) -> float:
-    if run.config.predictor == "gp":
-        return mu
-    if run.config.predictor == "oracle":
-        return run.plant.f_true(x)
-    return run.plant.f_true(x) - run.config.eps_bias  # oracle_biased
+def _query_triggers(
+    run: RunContext, models: list[GpModel], x: NDArray, x_bar: NDArray
+) -> tuple[NDArray, NDArray, NDArray]:
+    """One posterior query per agent, then every trigger: (mu, eta, rho).
 
-
-def _query_agent(
-    run: RunContext, model: GpModel, x: float, x_bar: float
-) -> tuple[float, float, TriggerDecision]:
-    """One posterior query at an agent's state: (mu, eta, trigger decision).
-
-    eta = 2 sqrt(beta) sigma(x) is the bound of the model as passed in, so
-    callers query before any update. This is the only place a trigger is
-    evaluated: every step that needs eta and the terminal row go through it.
+    eta = 2 sqrt(beta) sigma(x) is the bound of the models as passed in,
+    so callers query before any update. This is the only place a trigger
+    is evaluated: every step that needs eta and the terminal row go
+    through it.
     """
-    mu, sigma = model.posterior(x)
+    mu, sigma = np.array([m.posterior(xi) for m, xi in zip(models, x.tolist())]).T
     eta = 2.0 * run.root_beta * sigma
-    decision = evaluate_trigger(
+    rho = evaluate_trigger(
         run.trigger_mode,
         eta,
         x,
@@ -229,7 +220,7 @@ def _query_agent(
         run.bound.eta_bar_lower,
         run.epsilon,
     )
-    return mu, eta, decision
+    return mu, eta, rho
 
 
 def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = True) -> StepInfo:
@@ -246,55 +237,53 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
     n = run.topology.n_agents
     x_snap = state.x.copy()
     xb_snap = state.x_bar.copy()
-    eta = np.zeros(n)
-    rho = np.zeros(n)
     fired = np.zeros(n, dtype=np.int64)
-    u = np.empty(n)
     events: list[TriggerEvent] = []
 
-    want_eta = need_eta or run.trigger_mode != "none"
-    for i in range(n):
-        model = state.models[i]
-        if not want_eta:
-            mu = model.mean(x_snap[i])
-        else:
-            mu, eta[i], decision = _query_agent(run, model, x_snap[i], xb_snap[i])
-            rho[i] = decision.rho_value
-            if decision.fired:
-                if cfg.measurement_mode == "oracle" or state.step_index == 0:
-                    xdot = drift(run.plant, x_snap[i], state.u_prev[i])
-                else:
-                    xdot = (x_snap[i] - state.x_prev[i]) / cfg.dt
-                noise = rng.normal(0.0, cfg.sigma_n)
-                y = measure(run.plant, x_snap[i], state.u_prev[i], xdot, noise)
-                model.add_point(x_snap[i], y)
-                mu, sigma_after = model.posterior(x_snap[i])
-                events.append(
-                    TriggerEvent(
-                        agent=i,
-                        step_index=state.step_index,
-                        t=state.t,
-                        x=float(x_snap[i]),
-                        y=float(y),
-                        sigma_after=float(sigma_after),
-                    )
+    if need_eta or run.trigger_mode != "none":
+        mu, eta, rho = _query_triggers(run, state.models, x_snap, xb_snap)
+        fired_agents = [i for i, r in enumerate(rho.tolist()) if r > 0.0]
+        for i in fired_agents:
+            model = state.models[i]
+            if cfg.measurement_mode == "oracle" or state.step_index == 0:
+                xdot = drift(run.plant, x_snap[i], state.u_prev[i])
+            else:
+                xdot = (x_snap[i] - state.x_prev[i]) / cfg.dt
+            noise = rng.normal(0.0, cfg.sigma_n)
+            y = measure(run.plant, x_snap[i], state.u_prev[i], xdot, noise)
+            model.add_point(x_snap[i], y)
+            mu[i], sigma_after = model.posterior(x_snap[i])
+            events.append(
+                TriggerEvent(
+                    agent=i,
+                    step_index=state.step_index,
+                    t=state.t,
+                    x=float(x_snap[i]),
+                    y=float(y),
+                    sigma_after=float(sigma_after),
                 )
-                state.trigger_counts[i] += 1
-                fired[i] = 1
+            )
+            state.trigger_counts[i] += 1
+            fired[i] = 1
+    else:
+        mu = np.array([m.mean(xi) for m, xi in zip(state.models, x_snap.tolist())])
+        eta = np.zeros(n)
+        rho = np.zeros(n)
 
-        nbr = run.topology.neighbors[i]
-        view = AgentView(
-            x=float(x_snap[i]),
-            x_bar=float(xb_snap[i]),
-            neighbor_x=tuple(float(x_snap[j]) for j in nbr),
-            neighbor_x_bar=tuple(float(xb_snap[j]) for j in nbr),
-            f_hat=_f_hat(run, mu, float(x_snap[i])),
+    if cfg.predictor == "gp":
+        f_hat = mu
+    else:
+        f_hat = np.array([run.plant.f_true(xi) for xi in x_snap.tolist()])
+        if cfg.predictor == "oracle_biased":
+            f_hat = f_hat - cfg.eps_bias
+
+    if cfg.controller == "proposed":
+        rate = auxiliary_rate(xb_snap, run.topology, run.gains)
+        u = control_proposed(
+            x_snap, xb_snap, f_hat, run.topology, run.plant, run.gains, rate
         )
-        rate = auxiliary_rate(view, run.gains)
-        if cfg.controller == "proposed":
-            u[i] = control_proposed(view, run.plant, run.gains, rate)
-        else:
-            u[i] = control_conventional(view, run.plant, run.gains)
+    else:
+        u = control_conventional(x_snap, f_hat, run.topology, run.plant, run.gains)
 
     plant = run.plant
     lap = run.topology.laplacian
@@ -303,6 +292,7 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
     def rhs(vec: NDArray) -> NDArray:
         xs = vec[:n]
         dx = np.array([drift(plant, float(xs[i]), float(u[i])) for i in range(n)])
+        # lap @ x_bar, not auxiliary_rate: its slot sums round differently
         dxb = -c_bar * (lap @ vec[n:])
         return np.concatenate([dx, dxb])
 
@@ -413,11 +403,9 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
         traj.x_bar[row] = state.x_bar
         traj.u[row] = state.u_prev
         traj.err[row] = consensus_error(state.x, x_bar_star)
-        for i in range(n):
-            _, traj.eta[row, i], decision = _query_agent(
-                run, state.models[i], state.x[i], state.x_bar[i]
-            )
-            traj.rho[row, i] = decision.rho_value
+        _, traj.eta[row], traj.rho[row] = _query_triggers(
+            run, state.models, state.x, state.x_bar
+        )
         traj.dataset_size[row] = [m.size for m in state.models]
 
         # one posterior per model on one grid feeds both end-of-run checks

@@ -52,15 +52,6 @@ class PlantSpec:
                 )
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One training sample taken at a trigger instant."""
-
-    x: float
-    y: float
-    t: float
-
-
 def benchmark_f(x: float) -> float:
     """Hidden term of the four-agent study plant: sin(10x) + exp(x/10)/2 + 5."""
     return math.sin(10.0 * x) + 0.5 * math.exp(x / 10.0) + 5.0

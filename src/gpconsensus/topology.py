@@ -1,4 +1,4 @@
-"""Communication graph construction, validation, and Laplacian spectra.
+"""Communication graph construction and validation.
 
 Graphs are undirected, unweighted, and time-invariant. Agent indices are
 1-based at the interface (edge lists in configs) and 0-based internally;
@@ -21,20 +21,17 @@ class Topology:
     """Validated communication graph.
 
     Fields use 0-based agent indices. ``edges`` holds canonical (i, j)
-    pairs with i < j. ``adjacency`` and ``laplacian`` are dense N x N
-    arrays; the Laplacian is built from integer degrees so its row sums
-    are exactly zero.
+    pairs with i < j. ``laplacian`` is a dense N x N array built from
+    integer degrees, so its row sums are exactly zero. ``gather`` has one
+    row per neighbor slot: ``gather[s, i]`` is agent i's s-th neighbor
+    in ``neighbors`` order, or i itself once s reaches i's degree.
     """
 
     n_agents: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: NDArray[np.float64] = field(repr=False)
     laplacian: NDArray[np.float64] = field(repr=False)
     neighbors: tuple[tuple[int, ...], ...]
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self.neighbors)
+    gather: NDArray[np.intp] = field(repr=False)
 
 
 def build_topology(n_agents: int, edges) -> Topology:
@@ -81,12 +78,21 @@ def build_topology(n_agents: int, edges) -> Topology:
 
     _check_connected(n, neighbors)
 
+    max_degree = int(degrees.max())
+    gather = np.array(
+        [
+            [nb[s] if s < len(nb) else i for i, nb in enumerate(neighbors)]
+            for s in range(max_degree)
+        ],
+        dtype=np.intp,
+    ).reshape(max_degree, n)
+
     return Topology(
         n_agents=n,
         edges=tuple(canon),
-        adjacency=adjacency_int.astype(np.float64),
         laplacian=laplacian_int.astype(np.float64),
         neighbors=neighbors,
+        gather=gather,
     )
 
 
@@ -106,26 +112,3 @@ def _check_connected(n: int, neighbors: tuple[tuple[int, ...], ...]) -> None:
     if count != n:
         missing = [k + 1 for k, v in enumerate(visited) if not v]
         raise DisconnectedGraph(f"agents {missing} unreachable from agent 1")
-
-
-def laplacian_min_eig_shifted(topology: Topology) -> float:
-    """Smallest eigenvalue of L + I.
-
-    Equals 1 for every connected graph (the Laplacian kernel is the
-    all-ones vector); exposed as a spectral self-check.
-    """
-    n = topology.n_agents
-    shifted = topology.laplacian + np.eye(n)
-    return float(np.linalg.eigvalsh(shifted)[0])
-
-
-def laplacian_fiedler(topology: Topology) -> float:
-    """Second-smallest Laplacian eigenvalue (algebraic connectivity).
-
-    Strictly positive for connected graphs; governs how fast the
-    auxiliary consensus dynamics contract. Undefined for a single-node
-    graph, whose spectrum is just {0}.
-    """
-    if topology.n_agents < 2:
-        raise InvalidParam("second-smallest eigenvalue undefined for one agent")
-    return float(np.linalg.eigvalsh(topology.laplacian)[1])

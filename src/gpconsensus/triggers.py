@@ -3,39 +3,34 @@
 Every rule is a pure function of quantities an agent can compute locally:
 its current prediction error bound eta, its disagreement x - x_bar with
 its own auxiliary state, the consensus gain c, the agent count N, and the
-post-update bound floor eta_bar_lower. A trigger fires when its rho value
-is strictly positive; ties do not fire. eta must always be evaluated with
-the pre-update model.
+post-update bound floor eta_bar_lower. The rho functions take scalars or
+agent arrays alike. A trigger fires where its rho value is strictly
+positive; ties do not fire. eta must always be evaluated with the
+pre-update model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
+from numpy.typing import NDArray
 
 from .errors import InvalidParam
 
 MODES = ("proposed", "naive", "relaxed", "none")
 
-
-@dataclass(frozen=True)
-class TriggerDecision:
-    """Outcome of one trigger evaluation for one agent at one step."""
-
-    rho_value: float
-    fired: bool
-    eta_at_state: float
-    mode: str
+Values = float | NDArray
 
 
 def rho_proposed(
-    eta: float,
-    x: float,
-    x_bar: float,
+    eta: Values,
+    x: Values,
+    x_bar: Values,
     c: float,
     n_agents: int,
     eta_bar_lower: float,
-) -> float:
+) -> Values:
     """Disagreement-aware trigger value.
 
     rho = eta - max{ c|x - x_bar| - sqrt(N-1) eta_bar, eta_bar }. The
@@ -44,24 +39,24 @@ def rho_proposed(
     firing pointless once eta is already at the post-update level. For
     N = 1 this degenerates to eta - max{ c|x - x_bar|, eta_bar }.
     """
-    gap = c * abs(x - x_bar) - math.sqrt(n_agents - 1) * eta_bar_lower
-    return eta - max(gap, eta_bar_lower)
+    gap = c * np.abs(x - x_bar) - math.sqrt(n_agents - 1) * eta_bar_lower
+    return eta - np.maximum(gap, eta_bar_lower)
 
 
-def rho_naive(eta: float, eta_bar_lower: float) -> float:
+def rho_naive(eta: Values, eta_bar_lower: float) -> Values:
     """Always-learn baseline: fire whenever the bound exceeds its floor."""
     return eta - eta_bar_lower
 
 
 def rho_relaxed(
-    eta: float,
-    x: float,
-    x_bar: float,
+    eta: Values,
+    x: Values,
+    x_bar: Values,
     c: float,
     n_agents: int,
     eta_bar_lower: float,
     epsilon: float,
-) -> float:
+) -> Values:
     """Relaxed variant that keys on the accuracy target epsilon.
 
     rho = eta - ( (1/c) max{|x - x_bar| - epsilon/sqrt(N), 0} + eta_bar ).
@@ -69,34 +64,35 @@ def rho_relaxed(
     the disagreement-aware rule, and disagreement between the two is
     measured rather than assumed away.
     """
-    slack = max(abs(x - x_bar) - epsilon / math.sqrt(n_agents), 0.0) / c
+    slack = np.maximum(np.abs(x - x_bar) - epsilon / math.sqrt(n_agents), 0.0) / c
     return eta - (slack + eta_bar_lower)
 
 
 def evaluate_trigger(
     mode: str,
-    eta: float,
-    x: float,
-    x_bar: float,
+    eta: Values,
+    x: Values,
+    x_bar: Values,
     c: float,
     n_agents: int,
     eta_bar_lower: float,
     epsilon: float | None = None,
-) -> TriggerDecision:
-    """Apply the selected rule; mode "none" never fires."""
+) -> Values:
+    """rho of the selected rule; an agent fires where rho > 0.
+
+    Mode "none" gives rho = 0 everywhere, so it never fires.
+    """
     if mode == "proposed":
-        rho = rho_proposed(eta, x, x_bar, c, n_agents, eta_bar_lower)
-    elif mode == "naive":
-        rho = rho_naive(eta, eta_bar_lower)
-    elif mode == "relaxed":
+        return rho_proposed(eta, x, x_bar, c, n_agents, eta_bar_lower)
+    if mode == "naive":
+        return rho_naive(eta, eta_bar_lower)
+    if mode == "relaxed":
         if epsilon is None:
             raise InvalidParam("relaxed trigger requires epsilon")
-        rho = rho_relaxed(eta, x, x_bar, c, n_agents, eta_bar_lower, epsilon)
-    elif mode == "none":
-        rho = 0.0
-    else:
-        raise InvalidParam(f"unknown trigger mode {mode!r}; expected one of {MODES}")
-    return TriggerDecision(rho_value=rho, fired=rho > 0.0, eta_at_state=eta, mode=mode)
+        return rho_relaxed(eta, x, x_bar, c, n_agents, eta_bar_lower, epsilon)
+    if mode == "none":
+        return np.zeros(np.shape(eta))
+    raise InvalidParam(f"unknown trigger mode {mode!r}; expected one of {MODES}")
 
 
 def classify_agent(

@@ -68,3 +68,66 @@ def sample_gp_prior(sigma_f, length_scale, grid, normals):
     cov[np.diag_indices(grid.size)] += 1e-10
     lower = np.linalg.cholesky(cov)
     return lower @ np.asarray(normals, dtype=float)
+
+
+# -- per-agent control and trigger formulas ---------------------------
+#
+# One agent at a time on Python floats, neighbor sums by the builtin sum
+# in neighbor order: the form the array laws and rho functions must match
+# bit for bit.
+
+
+def auxiliary_rate_agent(x_bar, neighbor_x_bar, c_bar):
+    """-c_bar * sum_j (x_bar_i - x_bar_j)."""
+    return -c_bar * sum(x_bar - xbj for xbj in neighbor_x_bar)
+
+
+def _checked_gain(plant, x):
+    gain = plant.g(x)
+    if abs(gain) < plant.g_min:
+        raise ZeroDivisionError(f"|g({x})| below g_min")
+    return gain
+
+
+def control_conventional_agent(plant, c, x, neighbor_x, f_hat):
+    """-(h(x) + f_hat + c * sum_j (x_i - x_j)) / g(x)."""
+    gain = _checked_gain(plant, x)
+    consensus = sum(x - xj for xj in neighbor_x)
+    return -(plant.h(x) + f_hat + c * consensus) / gain
+
+
+def control_proposed_agent(plant, c, x, x_bar, neighbor_x, neighbor_x_bar, f_hat, rate):
+    """-(h(x) + f_hat + c (sum_j (xt_i - xt_j) + xt_i) - rate) / g(x), xt = x - x_bar."""
+    gain = _checked_gain(plant, x)
+    xt = x - x_bar
+    consensus = sum(xt - (xj - xbj) for xj, xbj in zip(neighbor_x, neighbor_x_bar))
+    return -(plant.h(x) + f_hat + c * (consensus + xt) - rate) / gain
+
+
+def laws_per_agent(topology, plant, c, c_bar, x, x_bar, f_hat):
+    """(auxiliary rates, conventional inputs, proposed inputs), agent by agent."""
+    rates, conventional, proposed = [], [], []
+    for i, nbr in enumerate(topology.neighbors):
+        nx = [float(x[j]) for j in nbr]
+        nxb = [float(x_bar[j]) for j in nbr]
+        xi, xbi, fi = float(x[i]), float(x_bar[i]), float(f_hat[i])
+        rate = auxiliary_rate_agent(xbi, nxb, c_bar)
+        rates.append(rate)
+        conventional.append(control_conventional_agent(plant, c, xi, nx, fi))
+        proposed.append(control_proposed_agent(plant, c, xi, xbi, nx, nxb, fi, rate))
+    return rates, conventional, proposed
+
+
+def rho_scalar(mode, eta, x, x_bar, c, n_agents, eta_bar, epsilon):
+    """Trigger value of one agent from the scalar formula of each rule."""
+    if mode == "proposed":
+        gap = c * abs(x - x_bar) - math.sqrt(n_agents - 1) * eta_bar
+        return eta - max(gap, eta_bar)
+    if mode == "naive":
+        return eta - eta_bar
+    if mode == "relaxed":
+        slack = max(abs(x - x_bar) - epsilon / math.sqrt(n_agents), 0.0) / c
+        return eta - (slack + eta_bar)
+    if mode == "none":
+        return 0.0
+    raise ValueError(mode)

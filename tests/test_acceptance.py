@@ -247,10 +247,10 @@ def test_criterion_08_trigger_partition_fuzz():
         x = rng.uniform(-1.5, 1.5)
         x_bar = rng.uniform(-1.5, 1.5)
         eta = rng.uniform(0.0, 3.0)
-        decision = evaluate_trigger("proposed", eta, x, x_bar, 1.0, 4, eta_bar)
+        rho = evaluate_trigger("proposed", eta, x, x_bar, 1.0, 4, eta_bar)
         region = classify_agent(eta, x, x_bar, 1.0, 4, eta_bar)
         counts[region] += 1
-        if decision.fired:
+        if rho > 0.0:
             model = GpModel(kernel, NOISE_STD, max_points=1)
             model.add_point(x, rng.normal())
             eta_hat = error_bound(model, ctx, x)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gpconsensus import cli
 from gpconsensus.cli import main
 from gpconsensus.reporting import read_trajectory_csv
 
@@ -42,6 +43,13 @@ class TestValidate:
         cfg = write_config(tmp_path, "initial_states = sample\n")
         assert main(["validate", "--case", "a", "--config", cfg]) == 0
         assert "sampled at run time" in capsys.readouterr().out
+
+    def test_initial_state_outside_domain_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "initial_states = 2.0, 0.15, -0.06, -0.71\n")
+        assert main(["validate", "--case", "d", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "agent 1 is 2.0, outside [-1.5, 1.5]" in err
 
 
 class TestRun:
@@ -97,6 +105,24 @@ class TestRun:
         assert err.startswith("numerical failure:")
         assert "case=d" in err
 
+    def test_initial_state_outside_domain_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "initial_states = 2.0, 0.15, -0.06, -0.71\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--case", "d", "--config", cfg, "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "agent 1 is 2.0, outside [-1.5, 1.5]" in err
+        assert not out_dir.exists()
+
+    def test_gamma_failure_warns_on_stderr(self, tmp_path, capsys):
+        # case d at t_end = 0.5 ends with gamma_ok = false
+        cfg = write_config(tmp_path, "t_end = 0.5\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--case", "d", "--config", cfg, "--out", str(out_dir)]) == 0
+        assert "bound-validity (gamma) condition fails" in capsys.readouterr().err
+        assert "gamma_ok = false" in (out_dir / "summary.csv").read_text(encoding="utf-8")
+
     def test_domain_escape_exits_numerical(self, tmp_path, capsys):
         # unmodelled drift of +50 pushes every state out of [-1.5, 1.5]
         cfg = write_config(
@@ -125,13 +151,26 @@ class TestMonteCarlo:
             ]
         )
         assert code == 0
-        stdout = capsys.readouterr().out
-        assert "case=a runs=2 median_final_err=" in stdout
-        assert "case=d runs=2 median_final_err=" in stdout
+        captured = capsys.readouterr()
+        assert "case=a runs=2 median_final_err=" in captured.out
+        assert "case=d runs=2 median_final_err=" in captured.out
+        # both case d runs end with gamma_ok = false, both case a runs true
+        assert "(gamma) condition fails at t_end in 2 of 4 runs" in captured.err
         mc_text = (out_dir / "montecarlo.csv").read_text(encoding="utf-8")
         assert "case,run,seed,t,err,err_mean,err_max,err_min" in mc_text
         assert "# base_seed = 11" in mc_text
         assert (out_dir / "summary.csv").exists()
+
+    def test_config_error_stops_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started on an invalid config")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
+        cfg = write_config(tmp_path, "initial_states = 2.0, 0.15, -0.06, -0.71\n")
+        out_dir = tmp_path / "mc"
+        assert main(["montecarlo", "--config", cfg, "--runs", "1", "--out", str(out_dir)]) == 1
+        assert "agent 1 is 2.0, outside [-1.5, 1.5]" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_zero_runs_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t_end = 0.1\n")

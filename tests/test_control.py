@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gpconsensus.control import (
-    AgentView,
     ControlGains,
     auxiliary_rate,
     check_domain_containment,
@@ -18,46 +17,51 @@ from gpconsensus.errors import InvalidParam, SingularGain
 from gpconsensus.plants import PlantSpec, make_benchmark_plant
 from gpconsensus.rng import SplitMix64
 from gpconsensus.topology import build_topology
+from oracles import laws_per_agent
 
 VAL_TOL = 1e-12
 GAINS = ControlGains(c=1.0, c_bar=1.0)
 ETA_BAR = 0.09764858224315007
 
 
-def view_of(x, x_bar, nx, nxb, f_hat=0.0):
-    return AgentView(
-        x=x, x_bar=x_bar, neighbor_x=tuple(nx), neighbor_x_bar=tuple(nxb), f_hat=f_hat
-    )
+def star(x, x_bar, nx, nxb):
+    """Agent 0 with one leaf per neighbor value: (topology, x, x_bar).
+
+    Agent 0's neighbors are the leaves in the order given, so entry 0 of
+    every law is the value for an agent that sees (nx, nxb).
+    """
+    k = len(nx)
+    top = build_topology(k + 1, [(1, j + 2) for j in range(k)])
+    return top, np.array([x, *nx], dtype=float), np.array([x_bar, *nxb], dtype=float)
+
+
+def hub_f_hat(top, f_hat):
+    """f_hat for agent 0, zero for the leaves."""
+    out = np.zeros(top.n_agents)
+    out[0] = f_hat
+    return out
 
 
 class TestAuxiliaryRate:
     def test_consensus_fixed_point(self):
-        view = view_of(0.0, 0.7, [1.0, -1.0], [0.7, 0.7])
-        assert auxiliary_rate(view, GAINS) == 0.0
+        top, _, xb = star(0.0, 0.7, [1.0, -1.0], [0.7, 0.7])
+        assert auxiliary_rate(xb, top, GAINS)[0] == 0.0
 
     def test_plug_in(self):
-        view = view_of(0.0, 1.0, [0.0, 0.0], [0.0, 0.0])
-        assert auxiliary_rate(view, GAINS) == -2.0
+        top, _, xb = star(0.0, 1.0, [0.0, 0.0], [0.0, 0.0])
+        assert auxiliary_rate(xb, top, GAINS)[0] == -2.0
 
     def test_rates_sum_to_zero_on_random_states(self):
         top = build_topology(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
         rng = SplitMix64(1000)
         for _ in range(50):
-            xb = [rng.uniform(-2.0, 2.0) for _ in range(4)]
-            total = 0.0
-            for i in range(4):
-                view = view_of(
-                    0.0,
-                    xb[i],
-                    [0.0] * len(top.neighbors[i]),
-                    [xb[j] for j in top.neighbors[i]],
-                )
-                total += auxiliary_rate(view, GAINS)
+            xb = np.array([rng.uniform(-2.0, 2.0) for _ in range(4)])
+            total = sum(auxiliary_rate(xb, top, GAINS))
             assert total == pytest.approx(0.0, abs=1e-12)
 
     def test_gain_scaling(self):
-        view = view_of(0.0, 1.0, [0.0], [0.0])
-        assert auxiliary_rate(view, ControlGains(1.0, 2.5)) == -2.5
+        top, _, xb = star(0.0, 1.0, [0.0], [0.0])
+        assert auxiliary_rate(xb, top, ControlGains(1.0, 2.5))[0] == -2.5
 
 
 class TestConventionalLaw:
@@ -67,16 +71,16 @@ class TestConventionalLaw:
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5)
             f_true = plant.f_true(x)
-            view = view_of(x, x, [x, x], [x, x], f_hat=f_true)
-            u = control_conventional(view, plant, GAINS)
+            top, xs, _ = star(x, x, [x, x], [x, x])
+            u = control_conventional(xs, np.full(3, f_true), top, plant, GAINS)[0]
             assert u == pytest.approx(-f_true, abs=VAL_TOL)
             # closed loop: xdot = f_true + u = 0
             assert plant.f_true(x) + plant.g(x) * u == pytest.approx(0.0, abs=VAL_TOL)
 
     def test_plug_in(self):
         plant = make_benchmark_plant()
-        view = view_of(1.0, 0.0, [0.0], [0.0], f_hat=0.0)
-        assert control_conventional(view, plant, GAINS) == -1.0
+        top, xs, _ = star(1.0, 0.0, [0.0], [0.0])
+        assert control_conventional(xs, hub_f_hat(top, 0.0), top, plant, GAINS)[0] == -1.0
 
     def test_gain_division(self):
         plant = PlantSpec(
@@ -86,9 +90,10 @@ class TestConventionalLaw:
             domain_lo=-1.0,
             domain_hi=1.0,
         )
-        view = view_of(1.0, 0.0, [0.0], [0.0], f_hat=0.3)
+        top, xs, _ = star(1.0, 0.0, [0.0], [0.0])
         # u = -(0.5 + 0.3 + 1.0) / 2
-        assert control_conventional(view, plant, GAINS) == pytest.approx(-0.9, abs=VAL_TOL)
+        u = control_conventional(xs, hub_f_hat(top, 0.3), top, plant, GAINS)[0]
+        assert u == pytest.approx(-0.9, abs=VAL_TOL)
 
     def test_singular_gain(self):
         plant = PlantSpec(
@@ -99,50 +104,59 @@ class TestConventionalLaw:
             domain_hi=1.5,
             g_min=0.01,
         )
-        view = view_of(0.0, 0.0, [0.0], [0.0])
+        top, xs, _ = star(0.0, 0.0, [0.0], [0.0])
         with pytest.raises(SingularGain):
-            control_conventional(view, plant, GAINS)
+            control_conventional(xs, np.zeros(2), top, plant, GAINS)
 
 
 class TestProposedLaw:
     def test_steady_state_cancels_model(self):
         plant = make_benchmark_plant()
-        view = view_of(0.4, 0.4, [0.9, -0.2], [0.9, -0.2], f_hat=5.37)
-        u = control_proposed(view, plant, GAINS, x_bar_rate=0.0)
+        top, xs, xb = star(0.4, 0.4, [0.9, -0.2], [0.9, -0.2])
+        f_hat = hub_f_hat(top, 5.37)
+        u = control_proposed(xs, xb, f_hat, top, plant, GAINS, np.zeros(3))[0]
         assert u == pytest.approx(-5.37, abs=VAL_TOL)
 
     def test_plug_in(self):
         plant = make_benchmark_plant()
         # xt_i = 0.2, neighbor xt = 0: r = 0.2 + 0.2 = 0.4
-        view = view_of(0.5, 0.3, [0.7], [0.7], f_hat=0.0)
-        u = control_proposed(view, plant, GAINS, x_bar_rate=0.0)
+        top, xs, xb = star(0.5, 0.3, [0.7], [0.7])
+        u = control_proposed(xs, xb, np.zeros(2), top, plant, GAINS, np.zeros(2))[0]
         assert u == pytest.approx(-0.4, abs=VAL_TOL)
 
     def test_rate_feedthrough(self):
         plant = make_benchmark_plant()
-        view = view_of(0.5, 0.3, [0.7], [0.7], f_hat=0.0)
-        u0 = control_proposed(view, plant, GAINS, x_bar_rate=0.0)
-        u1 = control_proposed(view, plant, GAINS, x_bar_rate=0.25)
+        top, xs, xb = star(0.5, 0.3, [0.7], [0.7])
+        f_hat = np.zeros(2)
+        u0 = control_proposed(xs, xb, f_hat, top, plant, GAINS, np.zeros(2))[0]
+        u1 = control_proposed(xs, xb, f_hat, top, plant, GAINS, np.full(2, 0.25))[0]
         assert u1 - u0 == pytest.approx(0.25, abs=VAL_TOL)
 
     def test_pure_replay_bit_exact(self):
         plant = make_benchmark_plant()
         rng = SplitMix64(1002)
         for _ in range(50):
-            view = view_of(
+            top, xs, xb = star(
                 rng.uniform(-1.5, 1.5),
                 rng.uniform(-1.5, 1.5),
                 [rng.uniform(-1.5, 1.5) for _ in range(2)],
                 [rng.uniform(-1.5, 1.5) for _ in range(2)],
-                f_hat=rng.normal(),
             )
-            rate = auxiliary_rate(view, GAINS)
-            assert control_proposed(view, plant, GAINS, rate) == control_proposed(
-                view, plant, GAINS, rate
+            f_hat = np.array([rng.normal() for _ in range(3)])
+            rate = auxiliary_rate(xb, top, GAINS)
+            u_prop = control_proposed(xs, xb, f_hat, top, plant, GAINS, rate)
+            u_conv = control_conventional(xs, f_hat, top, plant, GAINS)
+            assert np.array_equal(
+                u_prop, control_proposed(xs, xb, f_hat, top, plant, GAINS, rate)
             )
-            assert control_conventional(view, plant, GAINS) == control_conventional(
-                view, plant, GAINS
+            assert np.array_equal(
+                u_conv, control_conventional(xs, f_hat, top, plant, GAINS)
             )
+            # and equal, bit for bit, to the per-agent formulas
+            ref = laws_per_agent(top, plant, GAINS.c, GAINS.c_bar, xs, xb, f_hat)
+            assert rate.tolist() == ref[0]
+            assert u_conv.tolist() == ref[1]
+            assert u_prop.tolist() == ref[2]
 
 
 class TestExactModelContraction:
@@ -158,22 +172,10 @@ class TestExactModelContraction:
 
         def rhs(state):
             xs, xbs = state[:4], state[4:]
-            dx = np.empty(4)
-            dxb = np.empty(4)
-            for i in range(4):
-                nbr = top.neighbors[i]
-                view = AgentView(
-                    x=xs[i],
-                    x_bar=xbs[i],
-                    neighbor_x=tuple(xs[j] for j in nbr),
-                    neighbor_x_bar=tuple(xbs[j] for j in nbr),
-                    f_hat=plant.f_true(xs[i]),
-                )
-                rate = auxiliary_rate(view, gains)
-                u = control_proposed(view, plant, gains, rate)
-                dx[i] = plant.f_true(xs[i]) + u
-                dxb[i] = rate
-            return np.concatenate([dx, dxb])
+            f = np.array([plant.f_true(v) for v in xs.tolist()])
+            rate = auxiliary_rate(xbs, top, gains)
+            u = control_proposed(xs, xbs, f, top, plant, gains, rate)
+            return np.concatenate([f + u, rate])
 
         dt = 1e-3
         state = np.concatenate([x, x_bar])

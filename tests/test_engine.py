@@ -89,31 +89,32 @@ class TestRk4Step:
 class TestOfflineDataset:
     def test_grid_spacing_and_endpoints(self):
         plant = make_benchmark_plant()
-        data = make_offline_dataset(plant, 150, 0.0, SplitMix64(0))
-        xs = np.array([m.x for m in data])
-        assert xs.size == 150
+        xs, ys = make_offline_dataset(plant, 150, 0.0, SplitMix64(0))
+        assert xs.size == 150 and ys.size == 150
         assert xs[0] == -1.5 and xs[-1] == 1.5
         assert np.allclose(np.diff(xs), 3.0 / 149.0, atol=1e-15)
 
     def test_two_points_are_the_endpoints(self):
         plant = make_benchmark_plant()
-        data = make_offline_dataset(plant, 2, 0.0, SplitMix64(0))
-        assert [m.x for m in data] == [-1.5, 1.5]
+        xs, _ = make_offline_dataset(plant, 2, 0.0, SplitMix64(0))
+        assert xs.tolist() == [-1.5, 1.5]
 
     def test_zero_size_is_empty(self):
         plant = make_benchmark_plant()
-        assert make_offline_dataset(plant, 0, 0.01, SplitMix64(0)) == []
+        xs, ys = make_offline_dataset(plant, 0, 0.01, SplitMix64(0))
+        assert xs.size == 0 and ys.size == 0
 
     def test_zero_noise_hits_f_exactly(self):
         plant = make_benchmark_plant()
-        for m in make_offline_dataset(plant, 25, 0.0, SplitMix64(7)):
-            assert abs(m.y - plant.f_true(m.x)) <= EXACT_TOL
+        xs, ys = make_offline_dataset(plant, 25, 0.0, SplitMix64(7))
+        for x, y in zip(xs, ys):
+            assert abs(y - plant.f_true(x)) <= EXACT_TOL
 
     def test_noise_is_reproducible(self):
         plant = make_benchmark_plant()
-        a = make_offline_dataset(plant, 30, 0.01, SplitMix64(11))
-        b = make_offline_dataset(plant, 30, 0.01, SplitMix64(11))
-        assert [m.y for m in a] == [m.y for m in b]
+        _, a = make_offline_dataset(plant, 30, 0.01, SplitMix64(11))
+        _, b = make_offline_dataset(plant, 30, 0.01, SplitMix64(11))
+        assert a.tolist() == b.tolist()
 
     def test_agents_draw_independent_noise(self):
         run = prepare_run(case_preset("a"))
@@ -149,6 +150,13 @@ class TestPrepareRun:
     def test_rejects_invalid_config(self):
         with pytest.raises(ConfigError):
             prepare_run(dataclasses.replace(case_preset("d"), delta=0.5))
+
+    def test_rejects_initial_state_outside_plant_domain(self):
+        cfg = dataclasses.replace(
+            case_preset("d"), initial_states=(2.0, 0.15, -0.06, -0.71)
+        )
+        with pytest.raises(ConfigError, match=r"agent 1 is 2\.0, outside \[-1\.5, 1\.5\]"):
+            prepare_run(cfg)
 
 
 class TestStep:

@@ -1,0 +1,138 @@
+"""Property tests: array laws and triggers against the per-agent oracles.
+
+Graphs are random connected graphs on 4-9 agents: a random spanning tree
+in which agent 0 has at least three neighbors, plus random extra edges,
+kept only when the degrees are irregular. Runs are derandomized so the
+suite is reproducible.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gpconsensus.control import (
+    ControlGains,
+    auxiliary_rate,
+    control_conventional,
+    control_proposed,
+)
+from gpconsensus.plants import PlantSpec, make_benchmark_plant
+from gpconsensus.topology import build_topology
+from gpconsensus.triggers import MODES, classify_agent, evaluate_trigger
+from oracles import laws_per_agent, rho_scalar
+
+PROPERTY_SETTINGS = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None
+)
+
+STATE = st.floats(-1.5, 1.5)
+ETA_BAR = st.floats(1e-3, 0.5)
+
+
+@st.composite
+def irregular_graphs(draw):
+    n = draw(st.integers(4, 9))
+    edges = {(1, 2), (1, 3), (1, 4)}
+    for k in range(5, n + 1):
+        edges.add((draw(st.integers(1, k - 1)), k))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    top = build_topology(n, sorted(edges))
+    assume(len({len(nb) for nb in top.neighbors}) > 1)
+    return top
+
+
+def agent_vector(top, elements=STATE):
+    return st.lists(elements, min_size=top.n_agents, max_size=top.n_agents).map(np.array)
+
+
+def curved_plant() -> PlantSpec:
+    """Nonzero h and state-dependent g, so every term of the laws is exercised."""
+    return PlantSpec(
+        h=lambda x: 0.3 * x - 0.1 * x * x,
+        g=lambda x: 2.0 + 0.5 * math.sin(3.0 * x),
+        f_true=lambda x: math.cos(x),
+        domain_lo=-1.5,
+        domain_hi=1.5,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), c=st.floats(0.1, 5.0), c_bar=st.floats(0.1, 5.0))
+def test_array_laws_equal_per_agent_oracle(data, c, c_bar):
+    top = data.draw(irregular_graphs())
+    x = data.draw(agent_vector(top))
+    x_bar = data.draw(agent_vector(top))
+    f_hat = data.draw(agent_vector(top, st.floats(-10.0, 10.0)))
+    gains = ControlGains(c=c, c_bar=c_bar)
+    for plant in (make_benchmark_plant(), curved_plant()):
+        rate = auxiliary_rate(x_bar, top, gains)
+        u_conv = control_conventional(x, f_hat, top, plant, gains)
+        u_prop = control_proposed(x, x_bar, f_hat, top, plant, gains, rate)
+        ref_rate, ref_conv, ref_prop = laws_per_agent(top, plant, c, c_bar, x, x_bar, f_hat)
+        assert rate.tolist() == ref_rate
+        assert u_conv.tolist() == ref_conv
+        assert u_prop.tolist() == ref_prop
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), c_bar=st.floats(0.1, 5.0))
+def test_auxiliary_rates_sum_to_zero(data, c_bar):
+    # each edge enters two rates with opposite signs, so the auxiliary mean
+    # is conserved; the tolerance is the rounding of the slot-by-slot sums
+    top = data.draw(irregular_graphs())
+    x_bar = data.draw(agent_vector(top))
+    rate = auxiliary_rate(x_bar, top, ControlGains(c=1.0, c_bar=c_bar))
+    scale = c_bar * sum(abs(x_bar[i] - x_bar[j]) for i, j in top.edges) * 2.0
+    max_degree = top.gather.shape[0]
+    tol = 2.0 * (max_degree + 1) * np.finfo(float).eps * scale
+    assert abs(math.fsum(rate)) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    c=st.floats(0.1, 5.0),
+    eta_bar=ETA_BAR,
+    epsilon=st.floats(1e-3, 3.0),
+)
+def test_array_rho_equals_scalar_formula(data, c, eta_bar, epsilon):
+    n = data.draw(st.integers(1, 9))
+    vec = st.lists(STATE, min_size=n, max_size=n).map(np.array)
+    x, x_bar = data.draw(vec), data.draw(vec)
+    eta = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n).map(np.array))
+    for mode in MODES:
+        rho = evaluate_trigger(mode, eta, x, x_bar, c, n, eta_bar, epsilon)
+        expected = [
+            rho_scalar(mode, float(e), float(xi), float(xbi), c, n, eta_bar, epsilon)
+            for e, xi, xbi in zip(eta, x, x_bar)
+        ]
+        assert rho.tolist() == expected
+
+
+@PROPERTY_SETTINGS
+@given(
+    eta=st.floats(0.0, 10.0),
+    x=STATE,
+    x_bar=STATE,
+    c=st.floats(0.1, 5.0),
+    n_agents=st.integers(1, 9),
+    eta_bar=ETA_BAR,
+)
+def test_trigger_partition(eta, x, x_bar, c, n_agents, eta_bar):
+    region = classify_agent(eta, x, x_bar, c, n_agents, eta_bar)
+    gap = c * abs(x - x_bar)
+    fires = evaluate_trigger("proposed", eta, x, x_bar, c, n_agents, eta_bar) > 0.0
+    if gap <= (math.sqrt(n_agents - 1) + 1.0) * eta_bar:
+        assert region == "S1"
+        if not fires:
+            # a silent agent in S1 already has its bound at the floor
+            assert eta <= eta_bar * (1.0 + 1e-12)
+    elif fires:
+        assert region == "S2"
+    else:
+        assert region == "S3"
+        # a silent agent in S3 has disagreement dominating its bound
+        assert gap * gap >= (eta * eta + (n_agents - 1) * eta_bar**2) * (1.0 - 1e-12)

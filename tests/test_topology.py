@@ -5,22 +5,29 @@ import pytest
 
 from gpconsensus.errors import DisconnectedGraph, InvalidEdge, InvalidParam
 from gpconsensus.rng import SplitMix64
-from gpconsensus.topology import (
-    Topology,
-    build_topology,
-    laplacian_fiedler,
-    laplacian_min_eig_shifted,
-)
+from gpconsensus.topology import Topology, build_topology
 
 EIG_TOL = 1e-9
 
 RING4_EDGES = [(1, 2), (2, 3), (3, 4), (4, 1)]
 
 
+def degrees(top: Topology) -> tuple[int, ...]:
+    return tuple(len(nb) for nb in top.neighbors)
+
+
+def adjacency(top: Topology) -> np.ndarray:
+    """0/1 adjacency matrix from the neighbor lists."""
+    adj = np.zeros((top.n_agents, top.n_agents))
+    for i, nb in enumerate(top.neighbors):
+        adj[i, list(nb)] = 1.0
+    return adj
+
+
 class TestBuildTopology:
     def test_ring4_degrees_all_two(self):
         top = build_topology(4, RING4_EDGES)
-        assert top.degrees == (2, 2, 2, 2)
+        assert degrees(top) == (2, 2, 2, 2)
 
     def test_ring4_edges_canonical_zero_based(self):
         top = build_topology(4, RING4_EDGES)
@@ -32,15 +39,16 @@ class TestBuildTopology:
 
     def test_adjacency_symmetric_zero_diagonal(self):
         top = build_topology(4, RING4_EDGES)
-        assert np.array_equal(top.adjacency, top.adjacency.T)
-        assert np.all(np.diag(top.adjacency) == 0.0)
+        adj = adjacency(top)
+        assert np.array_equal(adj, adj.T)
+        assert np.all(np.diag(adj) == 0.0)
 
     def test_laplacian_structure(self):
         top = build_topology(4, RING4_EDGES)
         lap = top.laplacian
-        assert np.array_equal(np.diag(lap), np.array(top.degrees, dtype=float))
+        assert np.array_equal(np.diag(lap), np.array(degrees(top), dtype=float))
         off = lap - np.diag(np.diag(lap))
-        assert np.array_equal(off, -top.adjacency)
+        assert np.array_equal(off, -adjacency(top))
 
     def test_laplacian_row_sums_exactly_zero(self):
         top = build_topology(4, RING4_EDGES)
@@ -51,6 +59,13 @@ class TestBuildTopology:
         assert top.laplacian.shape == (1, 1)
         assert top.laplacian[0, 0] == 0.0
         assert top.neighbors == ((),)
+        assert top.gather.shape == (0, 1)
+
+    def test_gather_pads_with_own_index(self):
+        # path 1-2-3 plus 2-4: agent 1 (0-based) has three neighbors,
+        # the others one each, padded with their own index
+        top = build_topology(4, [(1, 2), (2, 3), (2, 4)])
+        assert top.gather.tolist() == [[1, 0, 1, 1], [0, 2, 2, 3], [0, 3, 2, 3]]
 
     def test_disconnected_two_components(self):
         with pytest.raises(DisconnectedGraph):
@@ -90,7 +105,7 @@ class TestSpectra:
     # ring-4 eigenvalues are 2 - 2cos(2 pi k / 4) for k = 0..3: {0, 2, 4, 2}
     def test_fiedler_ring4(self):
         top = build_topology(4, RING4_EDGES)
-        assert laplacian_fiedler(top) == pytest.approx(2.0, abs=EIG_TOL)
+        assert np.linalg.eigvalsh(top.laplacian)[1] == pytest.approx(2.0, abs=EIG_TOL)
 
     def test_ring4_full_spectrum(self):
         top = build_topology(4, RING4_EDGES)
@@ -100,30 +115,33 @@ class TestSpectra:
     def test_fiedler_path2(self):
         # [[1, -1], [-1, 1]] has spectrum {0, 2}
         top = build_topology(2, [(1, 2)])
-        assert laplacian_fiedler(top) == pytest.approx(2.0, abs=EIG_TOL)
+        assert np.linalg.eigvalsh(top.laplacian)[1] == pytest.approx(2.0, abs=EIG_TOL)
 
     def test_fiedler_complete4(self):
         # complete graph on N nodes: {0, N, ..., N}
         edges = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
         top = build_topology(4, edges)
-        assert laplacian_fiedler(top) == pytest.approx(4.0, abs=EIG_TOL)
+        assert np.linalg.eigvalsh(top.laplacian)[1] == pytest.approx(4.0, abs=EIG_TOL)
 
     def test_fiedler_single_node_undefined(self):
+        # the spectrum of a single node is just {0}: no second eigenvalue
         top = build_topology(1, [])
-        with pytest.raises(InvalidParam):
-            laplacian_fiedler(top)
+        assert np.linalg.eigvalsh(top.laplacian).tolist() == [0.0]
 
     def test_min_eig_shifted_ring4(self):
         top = build_topology(4, RING4_EDGES)
-        assert laplacian_min_eig_shifted(top) == pytest.approx(1.0, abs=EIG_TOL)
+        shifted = top.laplacian + np.eye(top.n_agents)
+        assert np.linalg.eigvalsh(shifted)[0] == pytest.approx(1.0, abs=EIG_TOL)
 
     def test_min_eig_shifted_single_node(self):
         top = build_topology(1, [])
-        assert laplacian_min_eig_shifted(top) == pytest.approx(1.0, abs=EIG_TOL)
+        shifted = top.laplacian + np.eye(top.n_agents)
+        assert np.linalg.eigvalsh(shifted)[0] == pytest.approx(1.0, abs=EIG_TOL)
 
     def test_min_eig_shifted_complete3(self):
         top = build_topology(3, [(1, 2), (1, 3), (2, 3)])
-        assert laplacian_min_eig_shifted(top) == pytest.approx(1.0, abs=EIG_TOL)
+        shifted = top.laplacian + np.eye(top.n_agents)
+        assert np.linalg.eigvalsh(shifted)[0] == pytest.approx(1.0, abs=EIG_TOL)
 
     def test_laplacian_positive_semidefinite(self):
         top = build_topology(4, RING4_EDGES)
@@ -157,7 +175,8 @@ class TestRandomGraphs:
         for trial in range(20):
             n = 2 + trial % 7
             top = random_connected_graph(rng, n)
-            assert laplacian_min_eig_shifted(top) == pytest.approx(1.0, abs=EIG_TOL)
-            assert laplacian_fiedler(top) > 0.0
+            shifted = top.laplacian + np.eye(top.n_agents)
+            assert np.linalg.eigvalsh(shifted)[0] == pytest.approx(1.0, abs=EIG_TOL)
+            assert np.linalg.eigvalsh(top.laplacian)[1] > 0.0
             assert np.max(np.abs(top.laplacian.sum(axis=1))) == 0.0
-            assert np.array_equal(top.adjacency, top.adjacency.T)
+            assert np.array_equal(adjacency(top), adjacency(top).T)

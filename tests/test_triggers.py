@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gpconsensus.errors import InvalidParam
@@ -26,8 +27,7 @@ class TestRhoProposed:
         for xt in (0.0, 0.05, 0.2):
             rho = rho_proposed(ETA_BAR, xt, 0.0, 1.0, 4, ETA_BAR)
             assert rho == pytest.approx(0.0, abs=VAL_TOL)
-            decision = evaluate_trigger("proposed", ETA_BAR, xt, 0.0, 1.0, 4, ETA_BAR)
-            assert not decision.fired
+            assert not evaluate_trigger("proposed", ETA_BAR, xt, 0.0, 1.0, 4, ETA_BAR) > 0.0
 
     def test_small_disagreement_fires_on_loose_bound(self):
         rho = rho_proposed(0.2, 0.05, 0.0, 1.0, 4, ETA_BAR)
@@ -98,21 +98,33 @@ class TestRhoRelaxed:
 
 class TestEvaluateTrigger:
     def test_fired_iff_rho_positive(self):
+        # evaluate_trigger returns the selected rule's rho, per agent; an
+        # agent fires exactly where that rho is positive
         rng = SplitMix64(802)
-        for _ in range(500):
-            eta = rng.uniform(0.0, 10.0)
-            x = rng.uniform(-1.5, 1.5)
-            xb = rng.uniform(-1.5, 1.5)
-            for mode in ("proposed", "naive", "relaxed"):
-                d = evaluate_trigger(mode, eta, x, xb, 1.0, 4, ETA_BAR, EPSILON)
-                assert d.fired == (d.rho_value > 0.0)
-                assert d.eta_at_state == eta
-                assert d.mode == mode
+        states = [
+            (rng.uniform(0.0, 10.0), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            for _ in range(500)
+        ]
+        eta, x, xb = (np.array(col) for col in zip(*states))
+        rules = {
+            "proposed": lambda e, xi, xbi: rho_proposed(e, xi, xbi, 1.0, 4, ETA_BAR),
+            "naive": lambda e, xi, xbi: rho_naive(e, ETA_BAR),
+            "relaxed": lambda e, xi, xbi: rho_relaxed(e, xi, xbi, 1.0, 4, ETA_BAR, EPSILON),
+        }
+        for mode, rule in rules.items():
+            rho = evaluate_trigger(mode, eta, x, xb, 1.0, 4, ETA_BAR, EPSILON)
+            assert rho.shape == eta.shape
+            assert rho.tolist() == [rule(*s) for s in states]
+            assert np.array_equal(rho > 0.0, [rule(*s) > 0.0 for s in states])
 
     def test_none_mode_never_fires(self):
-        d = evaluate_trigger("none", 99.0, 1.0, 0.0, 1.0, 4, ETA_BAR)
-        assert not d.fired
-        assert d.rho_value == 0.0
+        rho = evaluate_trigger("none", 99.0, 1.0, 0.0, 1.0, 4, ETA_BAR)
+        assert not rho > 0.0
+        assert rho == 0.0
+        rho = evaluate_trigger(
+            "none", np.full(4, 99.0), np.ones(4), np.zeros(4), 1.0, 4, ETA_BAR
+        )
+        assert rho.tolist() == [0.0] * 4
 
     def test_relaxed_needs_epsilon(self):
         with pytest.raises(InvalidParam):
@@ -169,8 +181,8 @@ class TestPartitionProperties:
             xt = rng.uniform(-threshold, threshold)  # c = 1: S1 region
             eta = rng.uniform(0.0, 10.0)
             x = rng.uniform(-1.5, 1.5)
-            decision = evaluate_trigger("proposed", eta, x, x - xt, 1.0, 4, eta_bar)
-            if decision.fired:
+            rho = evaluate_trigger("proposed", eta, x, x - xt, 1.0, 4, eta_bar)
+            if rho > 0.0:
                 model = GpModel(self.KERNEL, self.NOISE_STD, max_points=1)
                 model.add_point(x, rng.normal())
                 eta_hat = error_bound(model, ctx, x)
