@@ -104,6 +104,8 @@ def cmd_montecarlo(args) -> int:
             raise ConfigError(f"unknown case {c!r}; expected subset of {CASE_IDS}")
     if args.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     # validates the base config before any run is spent on it
     probe = prepare_run(apply_case(base, cases[0]))
     mc = run_monte_carlo(base, args.runs, cases, jobs=args.jobs)

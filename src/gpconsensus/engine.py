@@ -174,15 +174,19 @@ def init_state(run: RunContext, rng: SplitMix64) -> SimState:
         x = np.array(
             [rng.uniform(run.plant.domain_lo, run.plant.domain_hi) for _ in range(n)]
         )
-    models = []
+    models: list[GpModel] = []
     for _ in range(n):
         if cfg.offline_dataset_size > 0:
             xs, ys = make_offline_dataset(
                 run.plant, cfg.offline_dataset_size, cfg.sigma_n, rng
             )
-            model = GpModel.from_data(
-                run.kernel, cfg.sigma_n, xs, ys, max_points=cfg.max_points
-            )
+            # every agent samples the same input grid, so all share one factor
+            if models:
+                model = models[0].with_outputs(ys)
+            else:
+                model = GpModel.from_data(
+                    run.kernel, cfg.sigma_n, xs, ys, max_points=cfg.max_points
+                )
         else:
             model = GpModel(run.kernel, cfg.sigma_n, max_points=cfg.max_points)
         models.append(model)
@@ -352,6 +356,29 @@ class EpisodeSummary:
     events: tuple[TriggerEvent, ...]
 
 
+def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
+    """Whether every model meets the bound-validity (gamma) condition on grid.
+
+    Models are checked in agent order, and the check stops at the first
+    failure. Sigma is solved once per distinct (kernel, inputs, factor):
+    a model with the same factor as an earlier one reuses its sigma and
+    computes only its own mean, so its lip_mu is still its own.
+    """
+    solved: list[tuple[GpModel, NDArray]] = []
+    for model in models:
+        sigma = next((s for other, s in solved if model.same_factor(other)), None)
+        if sigma is None:
+            mu, sigma = model.posterior_grid(grid)
+            solved.append((model, sigma))
+        else:
+            mu = model.mean_grid(grid)
+        lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
+        ctx = replace(run.bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
+        if not check_gamma_condition(ctx, sigma):
+            return False
+    return True
+
+
 def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
     """Integrate one episode over [0, t_end] and summarize it."""
     run = prepare_run(config)
@@ -408,14 +435,8 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
         )
         traj.dataset_size[row] = [m.size for m in state.models]
 
-        # one posterior per model on one grid feeds both end-of-run checks
         grid = domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)
-        gamma_ok = True
-        for model in state.models:
-            mu, sigma = model.posterior_grid(grid)
-            lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
-            ctx_i = replace(run.bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
-            gamma_ok = gamma_ok and bool(check_gamma_condition(ctx_i, sigma))
+        gamma_ok = _check_gamma(run, state.models, grid)
     except GpConsensusError as exc:
         raise type(exc)(
             f"{exc} [case={cfg.case_label or 'custom'} seed={cfg.seed} "
@@ -549,13 +570,16 @@ def run_monte_carlo(
     """
     if n_runs < 1:
         raise GpConsensusError(f"n_runs must be >= 1, got {n_runs}")
+    if jobs < 1:
+        raise GpConsensusError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (_mc_config(base_config, case, k, base_config.seed), case, k)
         for case in cases
         for k in range(n_runs)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_mc_worker, tasks))
     else:
         raw = [_mc_worker(t) for t in tasks]

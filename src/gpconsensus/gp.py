@@ -56,6 +56,12 @@ def _kernel_vec(params: KernelParams, xs: NDArray, x: float) -> NDArray:
     return params.sigma_f**2 * np.exp(-(d * d) / (2.0 * params.length_scale**2))
 
 
+def _kernel_matrix(params: KernelParams, xs: NDArray, q: NDArray) -> NDArray:
+    """Kernel values k(xs[i], q[j]) as a (len(xs), len(q)) array."""
+    diff = xs[:, None] - q[None, :]
+    return params.sigma_f**2 * np.exp(-(diff * diff) / (2.0 * params.length_scale**2))
+
+
 class GpModel:
     """Mutable exact-GP dataset with a growing Cholesky factor.
 
@@ -103,12 +109,32 @@ class GpModel:
         if m > model.max_points:
             raise CapacityExceeded(f"{m} offline points exceed cap {model.max_points}")
         model._ensure_capacity(m)
-        diff = xs[:, None] - xs[None, :]
-        gram = kernel.sigma_f**2 * np.exp(-(diff * diff) / (2.0 * kernel.length_scale**2))
+        gram = _kernel_matrix(kernel, xs, xs)
         gram[np.diag_indices(m)] += noise_std**2
         model._chol[:m, :m] = _cholesky_with_jitter(gram)
         model._x[:m] = xs
         model._y[:m] = ys
+        model._m = m
+        model._refresh_alpha()
+        return model
+
+    def with_outputs(self, outputs) -> "GpModel":
+        """A new model on this model's inputs and factor with other targets.
+
+        Skips the O(M^3) factorization: the result has the same bits as
+        ``from_data`` on the same inputs. The buffers are copied, because
+        ``add_point`` writes them in place.
+        """
+        ys = np.asarray(outputs, dtype=float)
+        m = self._m
+        if ys.shape != (m,):
+            raise InvalidParam(f"expected {m} outputs, got shape {ys.shape}")
+        model = GpModel(self.kernel, self.noise_std, self.max_points)
+        model._x = self._x.copy()
+        model._y = np.zeros_like(self._y)
+        model._y[:m] = ys
+        model._chol = self._chol.copy()
+        model._alpha = np.zeros_like(self._alpha)
         model._m = m
         model._refresh_alpha()
         return model
@@ -131,6 +157,20 @@ class GpModel:
     def chol(self) -> NDArray:
         """Lower Cholesky factor of (K + sigma_n^2 I) for the current data."""
         return self._chol[: self._m, : self._m].copy()
+
+    def same_factor(self, other: "GpModel") -> bool:
+        """Whether other has equal kernel, inputs and Cholesky factor.
+
+        Those three fix the posterior sigma at every query point; only
+        the targets, and so the mean, may differ.
+        """
+        m = self._m
+        return (
+            self.kernel == other.kernel
+            and m == other._m
+            and np.array_equal(self._x[:m], other._x[:m])
+            and np.array_equal(self._chol[:m, :m], other._chol[:m, :m])
+        )
 
     # -- queries ------------------------------------------------------
 
@@ -156,16 +196,24 @@ class GpModel:
         var = self.kernel.sigma_f**2 - float(v @ v)
         return mu, math.sqrt(_clamp_var(var))
 
+    def mean_grid(self, xs) -> NDArray:
+        """Posterior mean over a query grid, no solve.
+
+        Bit-identical to ``posterior_grid(xs)[0]``.
+        """
+        q = np.asarray(xs, dtype=float)
+        if self._m == 0:
+            return np.zeros_like(q)
+        m = self._m
+        return _kernel_matrix(self.kernel, self._x[:m], q).T @ self._alpha[:m]
+
     def posterior_grid(self, xs) -> tuple[NDArray, NDArray]:
         """Vectorized posterior over a query grid; returns (mu, sigma) arrays."""
         q = np.asarray(xs, dtype=float)
         if self._m == 0:
             return np.zeros_like(q), np.full_like(q, self.kernel.sigma_f)
         m = self._m
-        diff = self._x[:m, None] - q[None, :]
-        kq = self.kernel.sigma_f**2 * np.exp(
-            -(diff * diff) / (2.0 * self.kernel.length_scale**2)
-        )
+        kq = _kernel_matrix(self.kernel, self._x[:m], q)
         mu = kq.T @ self._alpha[:m]
         v = solve_triangular(self._chol[:m, :m], kq, lower=True, check_finite=False)
         var = self.kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v)

@@ -24,14 +24,15 @@ class Topology:
     pairs with i < j. ``laplacian`` is a dense N x N array built from
     integer degrees, so its row sums are exactly zero. ``gather`` has one
     row per neighbor slot: ``gather[s, i]`` is agent i's s-th neighbor
-    in ``neighbors`` order, or i itself once s reaches i's degree.
+    in ``neighbors`` order, or i itself once s reaches i's degree. Both
+    arrays derive from ``edges``, so equality and hashing skip them.
     """
 
     n_agents: int
     edges: tuple[tuple[int, int], ...]
-    laplacian: NDArray[np.float64] = field(repr=False)
+    laplacian: NDArray[np.float64] = field(repr=False, compare=False)
     neighbors: tuple[tuple[int, ...], ...]
-    gather: NDArray[np.intp] = field(repr=False)
+    gather: NDArray[np.intp] = field(repr=False, compare=False)
 
 
 def build_topology(n_agents: int, edges) -> Topology:

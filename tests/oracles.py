@@ -7,8 +7,11 @@ sides must not share numerics.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from gpconsensus.gp import check_gamma_condition, estimate_lipschitz
 
 
 def solve_dense(a, b):
@@ -131,3 +134,21 @@ def rho_scalar(mode, eta, x, x_bar, c, n_agents, eta_bar, epsilon):
     if mode == "none":
         return 0.0
     raise ValueError(mode)
+
+
+# -- end-of-run bound-validity check ----------------------------------
+
+
+def gamma_ok_every_model(bound, models, grid):
+    """The gamma check with one full grid posterior per model, every model.
+
+    No sigma is shared between models and no model is skipped after a
+    failure: the form the engine's shared, early-stopping check must match.
+    """
+    verdicts = []
+    for model in models:
+        mu, sigma = model.posterior_grid(grid)
+        lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
+        ctx = replace(bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
+        verdicts.append(check_gamma_condition(ctx, sigma))
+    return all(verdicts)

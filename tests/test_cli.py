@@ -177,6 +177,16 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", cfg, "--runs", "0"]) == 1
         assert "--runs must be >= 1" in capsys.readouterr().err
 
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started with --jobs below 1")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
+        cfg = write_config(tmp_path, "t_end = 0.1\n")
+        for jobs in ("0", "-3"):
+            assert main(["montecarlo", "--config", cfg, "--runs", "1", "--jobs", jobs]) == 1
+            assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
     def test_unknown_case_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t_end = 0.1\n")
         assert main(["montecarlo", "--config", cfg, "--cases", "a,z"]) == 1

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from gpconsensus import engine
 from gpconsensus.analysis import appendix_solution, consensus_error
 from gpconsensus.config import SimConfig
 from gpconsensus.engine import (
+    LIP_GRID_STEP,
     SimState,
     init_state,
     make_offline_dataset,
@@ -18,11 +20,12 @@ from gpconsensus.engine import (
     run_monte_carlo,
     step,
 )
-from gpconsensus.errors import CapacityExceeded, ConfigError, OutOfDomain
-from gpconsensus.gp import GpModel
+from gpconsensus.errors import CapacityExceeded, ConfigError, GpConsensusError, OutOfDomain
+from gpconsensus.gp import GpModel, KernelParams, domain_grid
 from gpconsensus.plants import make_appendix_plant, make_benchmark_plant
 from gpconsensus.presets import BENCH_INITIAL_STATES, case_preset
 from gpconsensus.rng import SplitMix64
+from oracles import gamma_ok_every_model
 
 EXACT_TOL = 1e-12
 # 2/c * N * eta_bar for the stock bound setup (delta 0.01, tau 1e-3)
@@ -313,7 +316,8 @@ class TestPosteriorQueries:
         n_logged = traj.t.size - 1
         assert n_logged == 10
         assert calls["posterior"] == cfg.n_agents * (n_logged + 1)
-        assert calls["posterior_grid"] == cfg.n_agents
+        # the agents share one factor, so one grid solve serves all four
+        assert calls["posterior_grid"] == 1
 
     def test_online_queries_once_per_agent_step_plus_events(self, calls):
         cfg = dataclasses.replace(case_preset("d"), t_end=0.1)
@@ -322,7 +326,122 @@ class TestPosteriorQueries:
         n_steps = 100
         expected = cfg.n_agents * (n_steps + 1) + len(summary.events)
         assert calls["posterior"] == expected
-        assert calls["posterior_grid"] == cfg.n_agents
+        # agent 1 already violates the gamma condition, so the check stops
+        assert not summary.gamma_ok
+        assert calls["posterior_grid"] == 1
+
+
+class TestGammaCheck:
+    """End-of-run gamma check: sigma once per distinct factor, stop at the first failure."""
+
+    KERNEL = KernelParams(sigma_f=1.0, length_scale=0.3)
+    NOISE = 0.05
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"posterior_grid": 0, "mean_grid": 0}
+        for name in counts:
+            original = getattr(GpModel, name)
+
+            def counting(self, xs, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, xs)
+
+            monkeypatch.setattr(GpModel, name, counting)
+        return counts
+
+    @pytest.fixture
+    def run_and_grid(self):
+        run = prepare_run(case_preset("c"))
+        return run, domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)
+
+    def model(self, n, amplitude=0.0):
+        xs = np.linspace(-1.5, 1.5, n)
+        return GpModel.from_data(self.KERNEL, self.NOISE, xs, amplitude * (-1.0) ** np.arange(n))
+
+    def test_shared_factor_only_agent_2_mean_breaks_gamma(self, calls, run_and_grid):
+        run, grid = run_and_grid
+        base = self.model(7)
+        models = [
+            base,
+            base.with_outputs(100.0 * (-1.0) ** np.arange(7)),  # steep mean, same sigma
+            base.with_outputs(np.zeros(7)),
+            base.with_outputs(np.ones(7)),
+        ]
+        verdicts = [gamma_ok_every_model(run.bound, [m], grid) for m in models]
+        assert verdicts == [True, False, True, True]
+        calls.update(posterior_grid=0, mean_grid=0)
+        assert engine._check_gamma(run, models, grid) is False
+        assert calls == {"posterior_grid": 1, "mean_grid": 1}
+        assert engine._check_gamma(run, models[:1] + models[2:], grid) is True
+        assert calls == {"posterior_grid": 2, "mean_grid": 3}
+
+    def test_distinct_factors_agent_1_passes_agent_3_fails(self, calls, run_and_grid):
+        run, grid = run_and_grid
+        models = [self.model(3), self.model(5), self.model(7, amplitude=100.0), self.model(15)]
+        verdicts = [gamma_ok_every_model(run.bound, [m], grid) for m in models]
+        assert verdicts == [True, True, False, True]
+        calls.update(posterior_grid=0, mean_grid=0)
+        assert engine._check_gamma(run, models, grid) is False
+        assert calls == {"posterior_grid": 3, "mean_grid": 0}
+        assert engine._check_gamma(run, models[:2] + models[3:], grid) is True
+        assert calls == {"posterior_grid": 6, "mean_grid": 0}
+
+    def test_episodes_match_every_model_oracle(self, monkeypatch):
+        checked = []
+        original = engine._check_gamma
+
+        def recording(run, models, grid):
+            ok = original(run, models, grid)
+            checked.append((ok, gamma_ok_every_model(run.bound, models, grid)))
+            return ok
+
+        monkeypatch.setattr(engine, "_check_gamma", recording)
+        verdicts = set()
+        for case_id in ("a", "b", "c", "d"):
+            for seed in range(3):
+                cfg = dataclasses.replace(case_preset(case_id), seed=seed, t_end=0.2)
+                _, summary = run_episode(cfg)
+                assert checked[-1] == (summary.gamma_ok, summary.gamma_ok)
+                verdicts.add(summary.gamma_ok)
+        assert len(checked) == 12
+        assert verdicts == {True, False}
+
+
+class TestInitState:
+    def test_offline_agents_share_one_factor(self, monkeypatch):
+        from_data = GpModel.from_data.__func__
+        built = []
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return from_data(cls, *args, **kwargs)
+
+        monkeypatch.setattr(GpModel, "from_data", classmethod(counting))
+        run = prepare_run(case_preset("c"))
+        cfg = run.config
+        state = init_state(run, SplitMix64(5))
+        assert len(built) == 1
+        # each agent built on its own from the same draws, in agent order
+        rng = SplitMix64(5)
+        first = state.models[0]
+        for i, model in enumerate(state.models):
+            xs, ys = make_offline_dataset(run.plant, cfg.offline_dataset_size, cfg.sigma_n, rng)
+            own = from_data(GpModel, run.kernel, cfg.sigma_n, xs, ys, max_points=cfg.max_points)
+            assert model.same_factor(first)
+            assert np.array_equal(model.chol, own.chol)
+            assert np.array_equal(model.outputs, own.outputs)
+            for q in (-1.2, 0.05, 0.8):
+                assert model.posterior(q) == own.posterior(q)
+            if i:
+                assert not np.shares_memory(model._chol, first._chol)
+                assert not np.shares_memory(model._x, first._x)
+
+    def test_online_agents_start_empty_and_separate(self):
+        run = prepare_run(case_preset("d"))
+        models = init_state(run, SplitMix64(0)).models
+        assert [m.size for m in models] == [0, 0, 0, 0]
+        assert len({id(m) for m in models}) == 4
 
 
 class TestRunEpisode:
@@ -464,6 +583,38 @@ class TestMonteCarlo:
         assert not np.any(np.isnan(mc.errors["d"]))
         assert mc.times[0] == 0.0
         assert abs(mc.times[-1] - 0.2) <= 1e-12
+
+    def test_rejects_jobs_below_one(self):
+        for jobs in (0, -3):
+            with pytest.raises(GpConsensusError, match="jobs must be >= 1"):
+                run_monte_carlo(self.base(), 1, ("a",), jobs=jobs)
+
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        base = self.base(t_end=0.01)
+        run_monte_carlo(base, 1, ("d",), jobs=64)
+        assert sizes == []  # one task runs in this process
+        run_monte_carlo(base, 1, ("b", "d"), jobs=64)
+        assert sizes == [2]
+        run_monte_carlo(base, 2, ("b", "d"), jobs=3)
+        assert sizes == [2, 3]
 
     def test_aux_diagnostics_populated(self):
         mc = run_monte_carlo(self.base(), 2, ("c",))

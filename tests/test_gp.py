@@ -137,6 +137,18 @@ class TestPosterior:
                 q = rng.uniform(-1.5, 1.5)
                 assert model.mean(q) == model.posterior(q)[0]
 
+    def test_mean_grid_is_bitwise_posterior_grid_mean(self):
+        rng = SplitMix64(7005)
+        grid = np.linspace(-1.5, 1.5, 301)
+        model = GpModel(BENCH_KERNEL, NOISE_STD)
+        assert np.array_equal(model.mean_grid(grid), model.posterior_grid(grid)[0])
+        for _ in range(3):
+            for _ in range(20):
+                model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
+            assert np.array_equal(model.mean_grid(grid), model.posterior_grid(grid)[0])
+        batch = GpModel.from_data(BENCH_KERNEL, NOISE_STD, np.linspace(-1, 1, 90), rng.normals(90))
+        assert np.array_equal(batch.mean_grid(grid), batch.posterior_grid(grid)[0])
+
     def test_interpolates_noisefree_like_data(self):
         rng = SplitMix64(7003)
         xs = np.linspace(-1.0, 1.0, 21)
@@ -231,6 +243,82 @@ class TestAddPoint:
         model.add_point(0.5, 1.0)
         _, sigma = model.posterior(0.5)
         assert math.isfinite(sigma)
+
+
+class TestWithOutputs:
+    """A second target vector on a shared factor, without refactorizing."""
+
+    def make_pair(self, seed=7030, m=90):
+        rng = SplitMix64(seed)
+        xs = np.linspace(-1.5, 1.5, m)
+        ys_a, ys_b = rng.normals(m), rng.normals(m)
+        return xs, ys_a, ys_b
+
+    def test_same_bits_as_from_data(self):
+        xs, ys_a, ys_b = self.make_pair()
+        base = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_a, max_points=500)
+        shared = base.with_outputs(ys_b)
+        direct = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_b, max_points=500)
+        assert shared.max_points == direct.max_points == 500
+        assert np.array_equal(shared.chol, direct.chol)
+        assert np.array_equal(shared.outputs, direct.outputs)
+        assert np.array_equal(shared._alpha[: xs.size], direct._alpha[: xs.size])
+        for q in (-1.47, -0.3, 0.0, 0.71, 1.5):
+            assert shared.posterior(q) == direct.posterior(q)
+        grid = np.linspace(-1.5, 1.5, 101)
+        for got, want in zip(shared.posterior_grid(grid), direct.posterior_grid(grid)):
+            assert np.array_equal(got, want)
+
+    def test_add_point_leaves_the_other_model_unchanged(self):
+        xs, ys_a, ys_b = self.make_pair(m=64)  # full buffer: the next point regrows it
+        base = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_a)
+        shared = base.with_outputs(ys_b)
+        before = (base.inputs, base.outputs, base.chol, base.posterior(0.123))
+        shared.add_point(0.123, 4.0)
+        shared.add_point(-0.456, -4.0)
+        assert shared.size == 66 and base.size == 64
+        after = (base.inputs, base.outputs, base.chol, base.posterior(0.123))
+        for got, want in zip(after[:3], before[:3]):
+            assert np.array_equal(got, want)
+        assert after[3] == before[3]
+        fresh = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_b)
+        base.add_point(0.9, 1.0)
+        assert shared.posterior(0.9) != fresh.posterior(0.9)
+        fresh.add_point(0.123, 4.0)
+        fresh.add_point(-0.456, -4.0)
+        assert shared.posterior(0.9) == fresh.posterior(0.9)
+
+    def test_empty_model(self):
+        empty = GpModel(BENCH_KERNEL, NOISE_STD).with_outputs([])
+        assert empty.size == 0
+        assert empty.posterior(0.4) == (0.0, BENCH_KERNEL.sigma_f)
+
+    def test_rejects_wrong_length(self):
+        xs, ys_a, _ = self.make_pair(m=10)
+        base = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_a)
+        with pytest.raises(InvalidParam):
+            base.with_outputs(ys_a[:9])
+        with pytest.raises(InvalidParam):
+            base.with_outputs(np.reshape(ys_a, (2, 5)))
+
+    def test_same_factor(self):
+        xs, ys_a, ys_b = self.make_pair(m=30)
+        base = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_a)
+        shared = base.with_outputs(ys_b)
+        assert base.same_factor(shared) and shared.same_factor(base)
+        assert GpModel(BENCH_KERNEL, NOISE_STD).same_factor(GpModel(BENCH_KERNEL, 0.5))
+        shifted = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs + 1e-9, ys_a)
+        assert not base.same_factor(shifted)
+        noisier = GpModel.from_data(BENCH_KERNEL, 2 * NOISE_STD, xs, ys_a)
+        assert not base.same_factor(noisier)
+        wider = GpModel.from_data(KernelParams(2.0, 0.05), NOISE_STD, xs, ys_a)
+        assert not base.same_factor(wider)
+        # equal inputs and factor, another kernel: sigma still differs
+        relabelled = base.with_outputs(ys_a)
+        relabelled.kernel = KernelParams(2.0, 0.05)
+        assert not base.same_factor(relabelled)
+        shared.add_point(0.0, 1.0)
+        assert not base.same_factor(shared)
 
 
 class TestNumericalGuards:

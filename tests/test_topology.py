@@ -1,9 +1,13 @@
 """Graph construction, validation, and spectral facts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gpconsensus.engine import prepare_run
 from gpconsensus.errors import DisconnectedGraph, InvalidEdge, InvalidParam
+from gpconsensus.presets import case_preset
 from gpconsensus.rng import SplitMix64
 from gpconsensus.topology import Topology, build_topology
 
@@ -99,6 +103,23 @@ class TestBuildTopology:
         top = build_topology(2, [(1, 2)])
         with pytest.raises(AttributeError):
             top.n_agents = 5
+
+    def test_equality_and_hash_use_the_edge_list(self):
+        ring = build_topology(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+        same = build_topology(4, [(4, 1), (3, 2), (1, 2), (3, 4)])
+        path = build_topology(4, [(1, 2), (2, 3), (3, 4)])
+        assert build_topology(2, [(1, 2)]) == build_topology(2, [(1, 2)])
+        assert ring == same and hash(ring) == hash(same)
+        assert ring != path
+        assert len({ring, same, path}) == 2
+
+    def test_run_context_equality_does_not_raise(self):
+        run = prepare_run(case_preset("d"))
+        rebuilt = dataclasses.replace(run, topology=build_topology(4, run.config.edges))
+        assert rebuilt.topology is not run.topology
+        assert rebuilt == run
+        other = dataclasses.replace(run, topology=build_topology(4, [(1, 2), (2, 3), (3, 4)]))
+        assert other != run
 
 
 class TestSpectra:
