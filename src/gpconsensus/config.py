@@ -78,6 +78,14 @@ def validate_config(config: SimConfig) -> SimConfig:
             f"measurement_mode must be one of {MEASUREMENT_MODES}, "
             f"got {config.measurement_mode!r}"
         )
+    for f in fields(config):
+        if f.name in _FLOAT_KEYS and not math.isfinite(getattr(config, f.name)):
+            fail(f"{f.name} must be finite, got {getattr(config, f.name)}")
+    for name, value in config.plant_params:
+        if not math.isfinite(value):
+            fail(f"plant.{name} must be finite, got {value}")
+    if config.lip_f is not None and not math.isfinite(config.lip_f):
+        fail(f"lip_f must be finite or auto, got {config.lip_f}")
     if not (config.dt > 0.0):
         fail(f"dt must be > 0, got {config.dt}")
     if config.t_end < 0.0:

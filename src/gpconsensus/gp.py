@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import CapacityExceeded, InvalidParam, NumericalBreakdown, OutOfDomain
 
@@ -192,7 +192,7 @@ class GpModel:
         m = self._m
         k = _kernel_vec(self.kernel, self._x[:m], x)
         mu = float(k @ self._alpha[:m])
-        v = solve_triangular(self._chol[:m, :m], k, lower=True, check_finite=False)
+        v = self._solve_lower(k)
         var = self.kernel.sigma_f**2 - float(v @ v)
         return mu, math.sqrt(_clamp_var(var))
 
@@ -215,7 +215,7 @@ class GpModel:
         m = self._m
         kq = _kernel_matrix(self.kernel, self._x[:m], q)
         mu = kq.T @ self._alpha[:m]
-        v = solve_triangular(self._chol[:m, :m], kq, lower=True, check_finite=False)
+        v = self._solve_lower(kq)
         var = self.kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v)
         bad = var < -NEG_VAR_TOL
         if np.any(bad):
@@ -237,7 +237,7 @@ class GpModel:
             self._chol[0, 0] = math.sqrt(kxx)
         else:
             k = _kernel_vec(self.kernel, self._x[:m], x)
-            c = solve_triangular(self._chol[:m, :m], k, lower=True, check_finite=False)
+            c = self._solve_lower(k)
             d2 = kxx - float(c @ c)
             if d2 <= 0.0:
                 for jitter in JITTER_LADDER:
@@ -258,11 +258,28 @@ class GpModel:
 
     # -- internals ----------------------------------------------------
 
+    def _solve_lower(self, b: NDArray) -> NDArray:
+        """L^-1 b for the live factor L, read in place from the buffer.
+
+        ``self._chol[:m].T`` is F-contiguous with Lᵀ as its leading m x m
+        block (lda = capacity), so LAPACK reads it without a copy. This is
+        the upper, transposed call that ``solve_triangular`` makes on its
+        copy of the factor; only lda differs, and the bits are the same.
+        b is 1-d or (m, k).
+        """
+        x, info = lapack.dtrtrs(self._chol[: self._m].T, b, lower=0, trans=1)
+        if info != 0:
+            raise NumericalBreakdown(f"triangular solve failed (LAPACK dtrtrs info {info})")
+        return x
+
     def _refresh_alpha(self) -> None:
         m = self._m
-        lower = self._chol[:m, :m]
-        z = solve_triangular(lower, self._y[:m], lower=True, check_finite=False)
-        self._alpha[:m] = solve_triangular(lower.T, z, lower=False, check_finite=False)
+        z = self._solve_lower(self._y[:m])
+        # kept on solve_triangular: its LAPACK path depends on whether
+        # capacity == m, and the golden bits depend on that path
+        self._alpha[:m] = solve_triangular(
+            self._chol[:m, :m].T, z, lower=False, check_finite=False
+        )
 
     def _ensure_capacity(self, needed: int) -> None:
         cap = self._x.size

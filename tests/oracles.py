@@ -10,6 +10,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from gpconsensus.gp import check_gamma_condition, estimate_lipschitz
 
@@ -71,6 +72,16 @@ def sample_gp_prior(sigma_f, length_scale, grid, normals):
     cov[np.diag_indices(grid.size)] += 1e-10
     lower = np.linalg.cholesky(cov)
     return lower @ np.asarray(normals, dtype=float)
+
+
+def solve_lower_strided(model, b):
+    """L^-1 b by ``solve_triangular`` on the ``[:m, :m]`` view of the buffer.
+
+    The library's earlier form: scipy copies the factor whenever the view
+    is strided (capacity > m). The in-place solve must match it bit for bit.
+    """
+    m = model.size
+    return solve_triangular(model._chol[:m, :m], b, lower=True, check_finite=False)
 
 
 # -- per-agent control and trigger formulas ---------------------------

@@ -51,6 +51,16 @@ class TestValidate:
         assert err.startswith("config error:")
         assert "agent 1 is 2.0, outside [-1.5, 1.5]" in err
 
+    @pytest.mark.parametrize(
+        "line", ["t_end = nan", "t_end = inf", "dt = inf", "sigma_f = inf", "lip_f = nan"]
+    )
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, line + "\n")
+        assert main(["validate", "--case", "d", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{line.split()[0]} must be finite" in err
+
 
 class TestRun:
     def test_writes_trajectory_and_summary(self, tmp_path, capsys):
@@ -113,6 +123,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "agent 1 is 2.0, outside [-1.5, 1.5]" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "t_end = nan",
+            "t_end = inf",
+            "dt = inf",
+            "sigma_f = inf",
+            "plant = affine\nplant.f_offset = nan\nplant.f_slope = 0",
+        ],
+    )
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, line + "\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--case", "d", "--config", cfg, "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "must be finite" in err
         assert not out_dir.exists()
 
     def test_gamma_failure_warns_on_stderr(self, tmp_path, capsys):

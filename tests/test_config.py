@@ -94,6 +94,33 @@ class TestValidation:
             )
         )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "c",
+            "c_bar",
+            "eps_bias",
+            "dt",
+            "t_end",
+            "sigma_f",
+            "length_scale",
+            "sigma_n",
+            "delta",
+            "tau",
+            "lip_f",
+        ],
+    )
+    def test_rejects_non_finite_float(self, field, value):
+        cfg = dataclasses.replace(SimConfig(), **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            validate_config(cfg)
+
+    def test_rejects_non_finite_plant_param(self):
+        cfg = valid(plant="affine", plant_params=(("f_offset", float("nan")), ("f_slope", 0.0)))
+        with pytest.raises(ConfigError, match="plant.f_offset must be finite"):
+            validate_config(cfg)
+
     def test_t_end_zero_allowed(self):
         validate_config(valid(t_end=0.0))
 

@@ -1,6 +1,7 @@
 """Exact GP regression: posteriors, incremental updates, error bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from gpconsensus.gp import (
     make_bound_context,
 )
 from gpconsensus.rng import SplitMix64
-from oracles import gp_posterior_reference, sample_gp_prior
+from oracles import gp_posterior_reference, sample_gp_prior, solve_lower_strided
 
 ORACLE_TOL = 1e-8
 CHOL_TOL = 1e-9
@@ -243,6 +244,89 @@ class TestAddPoint:
         model.add_point(0.5, 1.0)
         _, sigma = model.posterior(0.5)
         assert math.isfinite(sigma)
+
+
+def narrow_copy(model: GpModel) -> GpModel:
+    """The same model with every buffer exactly model.size wide."""
+    m = model.size
+    narrow = GpModel(model.kernel, model.noise_std, model.max_points)
+    narrow._x = model._x[:m].copy()
+    narrow._y = model._y[:m].copy()
+    narrow._chol = model._chol[:m, :m].copy()
+    narrow._alpha = model._alpha[:m].copy()
+    narrow._m = m
+    return narrow
+
+
+def grown_model(m: int, seed: int = 7050) -> GpModel:
+    rng = SplitMix64(seed)
+    model = GpModel(BENCH_KERNEL, NOISE_STD)
+    for _ in range(m):
+        model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
+    return model
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLiveFactorSolves:
+    """Triangular solves read the live factor in place, with unchanged bits."""
+
+    QUERIES = (-1.5, -0.77, 0.0, 0.3141, 1.5)
+
+    def test_same_bits_as_strided_reference_while_growing(self):
+        rng = SplitMix64(7051)
+        model = GpModel(BENCH_KERNEL, NOISE_STD)
+        capacities = set()
+        for _ in range(300):  # crosses the 64, 128 and 256 doublings
+            model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
+            m = model.size
+            capacities.add(model._chol.shape[0])
+            b1 = np.asarray(rng.normals(m))
+            b2 = np.reshape(rng.normals(3 * m), (m, 3))
+            assert np.array_equal(model._solve_lower(b1), solve_lower_strided(model, b1))
+            assert np.array_equal(model._solve_lower(b2), solve_lower_strided(model, b2))
+            narrow = narrow_copy(model)
+            for q in self.QUERIES:
+                assert model.posterior(q) == narrow.posterior(q)
+        assert capacities == {64, 128, 256, 512}
+
+    def test_grid_same_bits_as_narrow_buffers(self):
+        model = grown_model(200)
+        grid = np.linspace(-1.5, 1.5, 41)
+        for got, want in zip(model.posterior_grid(grid), narrow_copy(model).posterior_grid(grid)):
+            assert np.array_equal(got, want)
+
+    def test_posterior_does_not_copy_the_factor(self):
+        model = grown_model(500)
+        assert model._chol.shape == (512, 512)
+        # a copy of the 500 x 500 factor alone would be 2.0 MB
+        assert peak_bytes(lambda: model.posterior(0.123)) < 64 * 1024
+
+    def test_posterior_grid_does_not_copy_the_factor(self):
+        model = grown_model(500)
+        grid = np.linspace(-1.5, 1.5, 3)
+        assert peak_bytes(lambda: model.posterior_grid(grid)) < 64 * 1024
+
+    def test_zero_pivot_raises_numerical_breakdown(self):
+        model = grown_model(100)
+        model._chol[40, 40] = 0.0
+        with pytest.raises(NumericalBreakdown):
+            model._solve_lower(np.ones(100))
+        # far from the data k is ~0, so only the solve itself can object
+        with pytest.raises(NumericalBreakdown):
+            model.posterior(3.0)
+        with pytest.raises(NumericalBreakdown):
+            model.posterior_grid(np.linspace(-1.5, 1.5, 5))
+        with pytest.raises(NumericalBreakdown):
+            model.add_point(0.2, 1.0)
 
 
 class TestWithOutputs:
