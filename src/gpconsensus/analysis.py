@@ -1,8 +1,4 @@
-"""Trajectory metrics and the two-agent closed-form reference.
-
-Also provides the offline comparison between the two online trigger
-rules, which is reported as data rather than assumed equivalent.
-"""
+"""Trajectory metrics and the two-agent closed-form reference."""
 
 from __future__ import annotations
 
@@ -11,7 +7,6 @@ import math
 import numpy as np
 
 from .errors import InvalidParam
-from .triggers import rho_proposed, rho_relaxed
 
 
 def average_state(x0) -> float:
@@ -47,33 +42,3 @@ def appendix_solution(
     mean_t = 0.5 * (x1 + x2) + eps_bias * t
     dev = 0.5 * (x1 - x2) * math.exp(-2.0 * c * t)
     return mean_t + dev, mean_t - dev
-
-
-def trend_slope(times, values) -> float:
-    """Least-squares slope of values against time."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.size < 2:
-        raise InvalidParam("trend_slope needs at least two samples")
-    return float(np.polyfit(t, v, 1)[0])
-
-
-def relaxed_disagreement_rate(
-    eta, x, x_bar, c: float, n_agents: int, eta_bar_lower: float, epsilon: float
-) -> float:
-    """Fraction of logged states where the two online rules disagree.
-
-    Replays rho for both rules over (eta, x, x_bar) arrays of identical
-    shape (records x agents) and compares the fire decisions.
-    """
-    eta = np.asarray(eta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    x_bar = np.asarray(x_bar, dtype=float)
-    if not (eta.shape == x.shape == x_bar.shape):
-        raise InvalidParam("eta, x, x_bar must have identical shapes")
-    total = eta.size
-    if total == 0:
-        raise InvalidParam("no records to compare")
-    a = rho_proposed(eta, x, x_bar, c, n_agents, eta_bar_lower) > 0.0
-    b = rho_relaxed(eta, x, x_bar, c, n_agents, eta_bar_lower, epsilon) > 0.0
-    return np.count_nonzero(a != b) / total

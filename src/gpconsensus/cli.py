@@ -99,6 +99,8 @@ def cmd_montecarlo(args) -> int:
         seed=args.seed if args.seed is not None else 0
     )
     cases = tuple(c.strip() for c in args.cases.split(",") if c.strip())
+    if not cases:
+        raise ConfigError(f"--cases lists no case: {args.cases!r}")
     for c in cases:
         if c not in CASE_IDS:
             raise ConfigError(f"unknown case {c!r}; expected subset of {CASE_IDS}")
@@ -106,8 +108,9 @@ def cmd_montecarlo(args) -> int:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    # validates the base config before any run is spent on it
-    probe = prepare_run(apply_case(base, cases[0]))
+    # validates every listed case before any run is spent on it; this also
+    # fills the automatic lip_f memo that pool workers inherit
+    probe, *_ = [prepare_run(apply_case(base, case)) for case in cases]
     mc = run_monte_carlo(base, args.runs, cases, jobs=args.jobs)
     meta = {
         "cases": ",".join(cases),

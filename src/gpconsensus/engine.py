@@ -12,6 +12,7 @@ its seed) fully determines every output byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -34,6 +35,7 @@ from .gp import (
     BoundContext,
     GpModel,
     KernelParams,
+    _grid_posteriors,
     check_gamma_condition,
     domain_grid,
     estimate_lipschitz,
@@ -48,13 +50,38 @@ from .triggers import evaluate_trigger
 LIP_GRID_STEP = 1e-3
 
 
-def rk4_step(rhs, state: NDArray, dt: float) -> NDArray:
-    """One classical 4th-order Runge-Kutta step of d(state)/dt = rhs(state)."""
-    k1 = rhs(state)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
-    k4 = rhs(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(
+    plant: PlantSpec,
+    x: NDArray,
+    u: NDArray,
+    x_bar: NDArray,
+    lap: NDArray,
+    c_bar: float,
+    dt: float,
+) -> tuple[NDArray, NDArray]:
+    """One classical RK4 step of the agents and their auxiliary states.
+
+    With u held, agent i follows its own scalar ODE x_i' = drift(x_i, u_i),
+    and x_bar follows x_bar' = -c_bar L x_bar, which does not read x. So
+    each agent takes a scalar step on Python floats, and x_bar takes four
+    linear stages. Both give the same bits as one RK4 step of the
+    concatenated system: every stage is elementwise in the state.
+    """
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    x_next = []
+    for xi, ui in zip(x.tolist(), u.tolist()):
+        k1 = drift(plant, xi, ui)
+        k2 = drift(plant, xi + half * k1, ui)
+        k3 = drift(plant, xi + half * k2, ui)
+        k4 = drift(plant, xi + dt * k3, ui)
+        x_next.append(xi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    # lap @ x_bar, not auxiliary_rate: its slot sums round differently
+    k1 = -c_bar * (lap @ x_bar)
+    k2 = -c_bar * (lap @ (x_bar + half * k1))
+    k3 = -c_bar * (lap @ (x_bar + half * k2))
+    k4 = -c_bar * (lap @ (x_bar + dt * k3))
+    return np.array(x_next), x_bar + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # -- run assembly ------------------------------------------------------
@@ -76,6 +103,17 @@ class RunContext:
     digest: str
 
 
+@functools.lru_cache(maxsize=None)
+def _auto_lip_f(plant_name: str, plant_params: tuple[tuple[str, float], ...]) -> float:
+    """The automatic lip_f: one grid scan of f_true per plant per process.
+
+    The plant name and its parameters fully determine the scan, and a
+    sweep prepares every run of a plant with the same two values.
+    """
+    plant = make_plant(plant_name, **dict(plant_params))
+    return estimate_lip_f(plant.f_true, plant.domain_lo, plant.domain_hi)
+
+
 def prepare_run(config: SimConfig) -> RunContext:
     """Validate a config against itself and its plant; derive the fixed run data."""
     validate_config(config)
@@ -92,7 +130,7 @@ def prepare_run(config: SimConfig) -> RunContext:
     lip_f = (
         config.lip_f
         if config.lip_f is not None
-        else estimate_lip_f(plant.f_true, plant.domain_lo, plant.domain_hi)
+        else _auto_lip_f(config.plant, config.plant_params)
     )
     bound = make_bound_context(
         delta=config.delta,
@@ -290,20 +328,10 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
         u = control_conventional(x_snap, f_hat, run.topology, run.plant, run.gains)
 
     plant = run.plant
-    lap = run.topology.laplacian
-    c_bar = cfg.c_bar
-
-    def rhs(vec: NDArray) -> NDArray:
-        xs = vec[:n]
-        dx = np.array([drift(plant, float(xs[i]), float(u[i])) for i in range(n)])
-        # lap @ x_bar, not auxiliary_rate: its slot sums round differently
-        dxb = -c_bar * (lap @ vec[n:])
-        return np.concatenate([dx, dxb])
-
     state.x_prev = x_snap
-    advanced = rk4_step(rhs, np.concatenate([state.x, state.x_bar]), cfg.dt)
-    state.x = advanced[:n]
-    state.x_bar = advanced[n:]
+    state.x, state.x_bar = rk4_step(
+        plant, state.x, u, state.x_bar, run.topology.laplacian, cfg.c_bar, cfg.dt
+    )
     state.u_prev = u
     state.step_index += 1
     state.t = state.step_index * cfg.dt
@@ -360,18 +388,11 @@ def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
     """Whether every model meets the bound-validity (gamma) condition on grid.
 
     Models are checked in agent order, and the check stops at the first
-    failure. Sigma is solved once per distinct (kernel, inputs, factor):
-    a model with the same factor as an earlier one reuses its sigma and
-    computes only its own mean, so its lip_mu is still its own.
+    failure. Models on the same inputs share one grid kernel matrix, and
+    models with the same factor share one sigma solve; each model's mean,
+    and so its lip_mu, is still its own.
     """
-    solved: list[tuple[GpModel, NDArray]] = []
-    for model in models:
-        sigma = next((s for other, s in solved if model.same_factor(other)), None)
-        if sigma is None:
-            mu, sigma = model.posterior_grid(grid)
-            solved.append((model, sigma))
-        else:
-            mu = model.mean_grid(grid)
+    for mu, sigma in _grid_posteriors(models, grid):
         lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
         ctx = replace(run.bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
         if not check_gamma_condition(ctx, sigma):

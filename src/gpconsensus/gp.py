@@ -13,13 +13,14 @@ checks for the Lipschitz-based validity condition.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import lapack, solve_triangular
 
-from .errors import CapacityExceeded, InvalidParam, NumericalBreakdown, OutOfDomain
+from .errors import CapacityExceeded, InvalidParam, NumericalBreakdown
 
 # negative posterior variance beyond this magnitude is treated as a
 # numerical failure rather than silently clamped
@@ -43,12 +44,6 @@ class KernelParams:
             raise InvalidParam(f"sigma_f must be > 0, got {self.sigma_f}")
         if not (self.length_scale > 0.0):
             raise InvalidParam(f"length_scale must be > 0, got {self.length_scale}")
-
-
-def kernel_eval(params: KernelParams, x: float, x2: float) -> float:
-    """Kernel value for a pair of scalar inputs."""
-    d = x - x2
-    return params.sigma_f**2 * math.exp(-(d * d) / (2.0 * params.length_scale**2))
 
 
 def _kernel_vec(params: KernelParams, xs: NDArray, x: float) -> NDArray:
@@ -153,10 +148,14 @@ class GpModel:
     def outputs(self) -> NDArray:
         return self._y[: self._m].copy()
 
-    @property
-    def chol(self) -> NDArray:
-        """Lower Cholesky factor of (K + sigma_n^2 I) for the current data."""
-        return self._chol[: self._m, : self._m].copy()
+    def _same_inputs(self, other: "GpModel") -> bool:
+        """Whether other has equal kernel and inputs: the same grid kernel matrix."""
+        m = self._m
+        return (
+            self.kernel == other.kernel
+            and m == other._m
+            and np.array_equal(self._x[:m], other._x[:m])
+        )
 
     def same_factor(self, other: "GpModel") -> bool:
         """Whether other has equal kernel, inputs and Cholesky factor.
@@ -165,11 +164,8 @@ class GpModel:
         the targets, and so the mean, may differ.
         """
         m = self._m
-        return (
-            self.kernel == other.kernel
-            and m == other._m
-            and np.array_equal(self._x[:m], other._x[:m])
-            and np.array_equal(self._chol[:m, :m], other._chol[:m, :m])
+        return self._same_inputs(other) and np.array_equal(
+            self._chol[:m, :m], other._chol[:m, :m]
         )
 
     # -- queries ------------------------------------------------------
@@ -196,24 +192,18 @@ class GpModel:
         var = self.kernel.sigma_f**2 - float(v @ v)
         return mu, math.sqrt(_clamp_var(var))
 
-    def mean_grid(self, xs) -> NDArray:
-        """Posterior mean over a query grid, no solve.
+    def posterior_grid(self, xs, *, _kq: NDArray | None = None) -> tuple[NDArray, NDArray]:
+        """Vectorized posterior over a query grid; returns (mu, sigma) arrays.
 
-        Bit-identical to ``posterior_grid(xs)[0]``.
+        ``_kq`` is the kernel matrix of this model's inputs against xs when
+        the caller already holds it (``_grid_posteriors`` shares one between
+        models on the same inputs); it gives the same bits as building it.
         """
-        q = np.asarray(xs, dtype=float)
-        if self._m == 0:
-            return np.zeros_like(q)
-        m = self._m
-        return _kernel_matrix(self.kernel, self._x[:m], q).T @ self._alpha[:m]
-
-    def posterior_grid(self, xs) -> tuple[NDArray, NDArray]:
-        """Vectorized posterior over a query grid; returns (mu, sigma) arrays."""
         q = np.asarray(xs, dtype=float)
         if self._m == 0:
             return np.zeros_like(q), np.full_like(q, self.kernel.sigma_f)
         m = self._m
-        kq = _kernel_matrix(self.kernel, self._x[:m], q)
+        kq = _kernel_matrix(self.kernel, self._x[:m], q) if _kq is None else _kq
         mu = kq.T @ self._alpha[:m]
         v = self._solve_lower(kq)
         var = self.kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v)
@@ -301,6 +291,32 @@ class GpModel:
             grown_chol,
             grown_alpha,
         )
+
+
+def _grid_posteriors(models, xs) -> Iterator[tuple[NDArray, NDArray]]:
+    """(mu, sigma) of each model over a query grid, in model order, lazily.
+
+    Consecutive models on the same inputs share one kernel matrix, and
+    sigma is solved by ``posterior_grid`` once per distinct factor; every
+    model's mean is its own. The bits are those of ``posterior_grid`` on
+    each model. Only the current kernel matrix is held, and a caller that
+    stops early builds none for the models it skips.
+    """
+    q = np.asarray(xs, dtype=float)
+    solved: list[tuple[GpModel, NDArray]] = []
+    basis: GpModel | None = None  # the model whose inputs built kq
+    kq = None
+    for model in models:
+        if basis is None or not model._same_inputs(basis):
+            kq = None  # drop the old matrix before building the next
+            basis, kq = model, _kernel_matrix(model.kernel, model._x[: model._m], q)
+        sigma = next((s for other, s in solved if model.same_factor(other)), None)
+        if sigma is None:
+            mu, sigma = model.posterior_grid(q, _kq=kq)
+            solved.append((model, sigma))
+        else:
+            mu = kq.T @ model._alpha[: model._m]
+        yield mu, sigma
 
 
 def _clamp_var(var: float) -> float:
@@ -401,14 +417,6 @@ def make_bound_context(
         domain_lo=domain_lo,
         domain_hi=domain_hi,
     )
-
-
-def error_bound(model: GpModel, ctx: BoundContext, x: float) -> float:
-    """Pointwise high-probability error bound 2*sqrt(beta)*sigma(x)."""
-    if not (ctx.domain_lo <= x <= ctx.domain_hi):
-        raise OutOfDomain(f"x={x} outside [{ctx.domain_lo}, {ctx.domain_hi}]")
-    _, sigma = model.posterior(x)
-    return 2.0 * math.sqrt(ctx.beta) * sigma
 
 
 def domain_grid(domain_lo: float, domain_hi: float, grid_step: float) -> NDArray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 import subprocess
 import tempfile
@@ -117,27 +116,6 @@ def write_trajectory_csv(path, traj: Trajectory, meta: dict) -> None:
         row.append(fmt_float(traj.err[r]))
         writer.writerow(row)
     _atomic_write(path, buf.getvalue())
-
-
-def read_trajectory_csv(path) -> tuple[dict, list[str], np.ndarray]:
-    """Parse a trajectory file back into (meta, header, value matrix)."""
-    meta: dict = {}
-    header: list[str] = []
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if not line:
-                continue
-            if not header:
-                header = line.split(",")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    return meta, header, np.array(rows)
 
 
 def summary_rows(records: list) -> list[list[str]]:

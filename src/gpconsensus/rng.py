@@ -62,7 +62,3 @@ class SplitMix64:
             z = r * math.cos(theta)
             self._cached_normal = r * math.sin(theta)
         return mu + sigma * z
-
-    def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> list[float]:
-        """n independent Gaussian draws."""
-        return [self.normal(mu, sigma) for _ in range(n)]

@@ -93,24 +93,3 @@ def evaluate_trigger(
     if mode == "none":
         return np.zeros(np.shape(eta))
     raise InvalidParam(f"unknown trigger mode {mode!r}; expected one of {MODES}")
-
-
-def classify_agent(
-    eta: float,
-    x: float,
-    x_bar: float,
-    c: float,
-    n_agents: int,
-    eta_bar_lower: float,
-) -> str:
-    """Partition used in the accuracy argument, exposed for property tests.
-
-    S1: small disagreement, c|x - x_bar| <= (sqrt(N-1)+1) eta_bar.
-    S2: large disagreement and the trigger fires.
-    S3: large disagreement, trigger silent.
-    """
-    if c * abs(x - x_bar) <= (math.sqrt(n_agents - 1) + 1.0) * eta_bar_lower:
-        return "S1"
-    if rho_proposed(eta, x, x_bar, c, n_agents, eta_bar_lower) > 0.0:
-        return "S2"
-    return "S3"

@@ -12,7 +12,9 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from gpconsensus.errors import InvalidParam, OutOfDomain
 from gpconsensus.gp import check_gamma_condition, estimate_lipschitz
+from gpconsensus.triggers import rho_proposed, rho_relaxed
 
 
 def solve_dense(a, b):
@@ -163,3 +165,126 @@ def gamma_ok_every_model(bound, models, grid):
         ctx = replace(bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
         verdicts.append(check_gamma_condition(ctx, sigma))
     return all(verdicts)
+
+
+# -- generic integrator -----------------------------------------------
+
+
+def rk4_step(rhs, state, dt):
+    """One classical 4th-order Runge-Kutta step of d(state)/dt = rhs(state).
+
+    The engine's split step must match this on the concatenated (x, x_bar)
+    vector bit for bit.
+    """
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# -- helpers only tests call --------------------------------------------
+
+
+def kernel_eval(params, x, x2):
+    """Kernel value for a pair of scalar inputs."""
+    d = x - x2
+    return params.sigma_f**2 * math.exp(-(d * d) / (2.0 * params.length_scale**2))
+
+
+def chol(model):
+    """Copy of the lower Cholesky factor of (K + sigma_n^2 I) for the current data."""
+    m = model.size
+    return model._chol[:m, :m].copy()
+
+
+def mean_grid(model, xs):
+    """Posterior mean over a query grid, no solve.
+
+    The package's former ``GpModel.mean_grid``: bit-identical to
+    ``model.posterior_grid(xs)[0]``.
+    """
+    q = np.asarray(xs, dtype=float)
+    m = model.size
+    if m == 0:
+        return np.zeros_like(q)
+    diff = model._x[:m][:, None] - q[None, :]
+    kern = model.kernel
+    kq = kern.sigma_f**2 * np.exp(-(diff * diff) / (2.0 * kern.length_scale**2))
+    return kq.T @ model._alpha[:m]
+
+
+def error_bound(model, ctx, x):
+    """Pointwise high-probability error bound 2*sqrt(beta)*sigma(x)."""
+    if not (ctx.domain_lo <= x <= ctx.domain_hi):
+        raise OutOfDomain(f"x={x} outside [{ctx.domain_lo}, {ctx.domain_hi}]")
+    _, sigma = model.posterior(x)
+    return 2.0 * math.sqrt(ctx.beta) * sigma
+
+
+def classify_agent(eta, x, x_bar, c, n_agents, eta_bar_lower):
+    """Partition used in the accuracy argument.
+
+    S1: small disagreement, c|x - x_bar| <= (sqrt(N-1)+1) eta_bar.
+    S2: large disagreement and the trigger fires.
+    S3: large disagreement, trigger silent.
+    """
+    if c * abs(x - x_bar) <= (math.sqrt(n_agents - 1) + 1.0) * eta_bar_lower:
+        return "S1"
+    if rho_proposed(eta, x, x_bar, c, n_agents, eta_bar_lower) > 0.0:
+        return "S2"
+    return "S3"
+
+
+def trend_slope(times, values):
+    """Least-squares slope of values against time."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.size < 2:
+        raise InvalidParam("trend_slope needs at least two samples")
+    return float(np.polyfit(t, v, 1)[0])
+
+
+def relaxed_disagreement_rate(eta, x, x_bar, c, n_agents, eta_bar_lower, epsilon):
+    """Fraction of logged states where the two online rules disagree.
+
+    Replays rho for both rules over (eta, x, x_bar) arrays of identical
+    shape (records x agents) and compares the fire decisions.
+    """
+    eta = np.asarray(eta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    x_bar = np.asarray(x_bar, dtype=float)
+    if not (eta.shape == x.shape == x_bar.shape):
+        raise InvalidParam("eta, x, x_bar must have identical shapes")
+    total = eta.size
+    if total == 0:
+        raise InvalidParam("no records to compare")
+    a = rho_proposed(eta, x, x_bar, c, n_agents, eta_bar_lower) > 0.0
+    b = rho_relaxed(eta, x, x_bar, c, n_agents, eta_bar_lower, epsilon) > 0.0
+    return np.count_nonzero(a != b) / total
+
+
+def normals(rng, n, mu=0.0, sigma=1.0):
+    """n independent Gaussian draws from a SplitMix64 stream."""
+    return [rng.normal(mu, sigma) for _ in range(n)]
+
+
+def read_trajectory_csv(path):
+    """Parse a trajectory file back into (meta, header, value matrix)."""
+    meta = {}
+    header = []
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                meta[key.strip()] = value.strip()
+                continue
+            if not line:
+                continue
+            if not header:
+                header = line.split(",")
+                continue
+            rows.append([float(v) for v in line.split(",")])
+    return meta, header, np.array(rows)

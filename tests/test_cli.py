@@ -7,7 +7,7 @@ import pytest
 
 from gpconsensus import cli
 from gpconsensus.cli import main
-from gpconsensus.reporting import read_trajectory_csv
+from oracles import read_trajectory_csv
 
 BETA_STOCK = 23.838114035243105
 ETA_BAR_STOCK = 0.09764858224315007
@@ -217,10 +217,44 @@ class TestMonteCarlo:
             assert main(["montecarlo", "--config", cfg, "--runs", "1", "--jobs", jobs]) == 1
             assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cases", ["a,b", "b,a"])
+    def test_every_listed_case_validated_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, cases
+    ):
+        # case a's 150-point offline grid exceeds max_points; case b has none
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started with an invalid case")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
+        cfg = write_config(tmp_path, "max_points = 100\nt_end = 0.02\n")
+        out_dir = tmp_path / "mc"
+        argv = ["montecarlo", "--config", cfg, "--cases", cases, "--runs", "2"]
+        assert main(argv + ["--out", str(out_dir)]) == 1
+        assert "offline_dataset_size 150 exceeds max_points 100" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_output_bytes_independent_of_jobs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t_end = 0.05\n")
+        outputs = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"mc_jobs{jobs}"
+            argv = ["montecarlo", "--config", cfg, "--cases", "a,d", "--runs", "2"]
+            assert main(argv + ["--jobs", jobs, "--out", str(out_dir)]) == 0
+            outputs.append(
+                [(out_dir / name).read_bytes() for name in ("montecarlo.csv", "summary.csv")]
+            )
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
     def test_unknown_case_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t_end = 0.1\n")
         assert main(["montecarlo", "--config", cfg, "--cases", "a,z"]) == 1
         assert "unknown case 'z'" in capsys.readouterr().err
+
+    def test_empty_case_list_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t_end = 0.1\n")
+        assert main(["montecarlo", "--config", cfg, "--cases", " , "]) == 1
+        assert "--cases lists no case: ' , '" in capsys.readouterr().err
 
     def test_failed_runs_reported_not_fatal(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t_end = 0.3\nmax_points = 3\n")

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gpconsensus import engine
+from gpconsensus import engine, gp
 from gpconsensus.analysis import appendix_solution, consensus_error
 from gpconsensus.config import SimConfig
 from gpconsensus.engine import (
@@ -22,10 +23,16 @@ from gpconsensus.engine import (
 )
 from gpconsensus.errors import CapacityExceeded, ConfigError, GpConsensusError, OutOfDomain
 from gpconsensus.gp import GpModel, KernelParams, domain_grid
-from gpconsensus.plants import make_appendix_plant, make_benchmark_plant
+from gpconsensus.plants import (
+    estimate_lip_f,
+    make_affine_plant,
+    make_appendix_plant,
+    make_benchmark_plant,
+)
 from gpconsensus.presets import BENCH_INITIAL_STATES, case_preset
 from gpconsensus.rng import SplitMix64
-from oracles import gamma_ok_every_model
+from gpconsensus.topology import build_topology
+from oracles import chol, gamma_ok_every_model, mean_grid
 
 EXACT_TOL = 1e-12
 # 2/c * N * eta_bar for the stock bound setup (delta 0.01, tau 1e-3)
@@ -55,38 +62,49 @@ def fast_oracle_config(**kw) -> SimConfig:
 
 
 class TestRk4Step:
+    LAP_PAIR = build_topology(2, ((1, 2),)).laplacian
+
     def test_fourth_order_on_linear_consensus_pair(self):
+        # x_bar' = -c_bar L x_bar on one edge is the unbiased appendix pair;
         # halving dt must cut the max error by ~16x; require >= 8x
-        c, eps = 5.0, 0.3
-        x0 = (1.0, 0.0)
-
-        def rhs(v):
-            return np.array(
-                [eps - c * (v[0] - v[1]), eps - c * (v[1] - v[0])]
-            )
-
+        c_bar = 5.0
+        xb0 = (1.0, 0.0)
+        plant = make_appendix_plant()
         max_errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            v = np.array(x0)
+            x, xb = np.zeros(2), np.array(xb0)
             worst = 0.0
             for k in range(1, int(round(1.0 / dt)) + 1):
-                v = rk4_step(rhs, v, dt)
-                ref = appendix_solution(x0, eps, c, k * dt)
-                worst = max(worst, abs(v[0] - ref[0]), abs(v[1] - ref[1]))
+                x, xb = rk4_step(plant, x, np.zeros(2), xb, self.LAP_PAIR, c_bar, dt)
+                ref = appendix_solution(xb0, 0.0, c_bar, k * dt)
+                worst = max(worst, abs(xb[0] - ref[0]), abs(xb[1] - ref[1]))
             max_errs.append(worst)
         assert max_errs[0] / max_errs[1] >= 8.0
         assert max_errs[1] / max_errs[2] >= 8.0
 
     def test_exact_for_constant_field(self):
-        out = rk4_step(lambda v: np.array([2.0, -3.0]), np.array([1.0, 1.0]), 0.25)
-        assert np.array_equal(out, np.array([1.5, 0.25]))
+        # f = 2 and u = (0, -5): constant drifts (2, -3); x_bar at consensus
+        plant = make_affine_plant(f_offset=2.0, f_slope=0.0)
+        x, xb = rk4_step(
+            plant,
+            np.array([1.0, 1.0]),
+            np.array([0.0, -5.0]),
+            np.array([0.5, 0.5]),
+            self.LAP_PAIR,
+            1.0,
+            0.25,
+        )
+        assert np.array_equal(x, np.array([1.5, 0.25]))
+        assert np.array_equal(xb, np.array([0.5, 0.5]))
 
     def test_one_step_matches_truncated_series(self):
         # scalar xdot = x: the step factor is the quartic Taylor polynomial
         h = 0.1
-        out = rk4_step(lambda v: v, np.array([1.0]), h)
+        plant = make_affine_plant(f_offset=0.0, f_slope=1.0)
+        lap = build_topology(1, ()).laplacian
+        x, _ = rk4_step(plant, np.array([1.0]), np.array([0.0]), np.array([1.0]), lap, 1.0, h)
         expected = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
-        assert abs(out[0] - expected) <= 1e-15
+        assert abs(x[0] - expected) <= 1e-15
 
 
 class TestOfflineDataset:
@@ -160,6 +178,60 @@ class TestPrepareRun:
         )
         with pytest.raises(ConfigError, match=r"agent 1 is 2\.0, outside \[-1\.5, 1\.5\]"):
             prepare_run(cfg)
+
+
+class TestLipMemo:
+    """The automatic lip_f scans f_true once per (plant, plant_params)."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return estimate_lip_f(*args, **kwargs)
+
+        engine._auto_lip_f.cache_clear()
+        monkeypatch.setattr(engine, "estimate_lip_f", counting)
+        yield calls
+        engine._auto_lip_f.cache_clear()
+
+    @staticmethod
+    def affine(slope, lip_f=None):
+        return dataclasses.replace(
+            case_preset("d"),
+            plant="affine",
+            plant_params=(("f_offset", 0.5), ("f_slope", slope)),
+            lip_f=lip_f,
+        )
+
+    def test_one_scan_per_plant(self, scans):
+        for seed in range(5):
+            prepare_run(dataclasses.replace(case_preset("a"), seed=seed))
+        assert len(scans) == 1
+        for case_id in "bcd":
+            prepare_run(case_preset(case_id))
+        assert len(scans) == 1
+
+    def test_other_plant_params_scan_again(self, scans):
+        assert prepare_run(self.affine(2.0)).bound.lip_f == pytest.approx(2.0)
+        assert prepare_run(self.affine(3.0)).bound.lip_f == pytest.approx(3.0)
+        assert len(scans) == 2
+        prepare_run(self.affine(2.0))
+        prepare_run(case_preset("d"))
+        assert len(scans) == 3
+
+    def test_explicit_lip_f_never_scans(self, scans):
+        assert prepare_run(self.affine(2.0, lip_f=7.5)).bound.lip_f == 7.5
+        assert prepare_run(dataclasses.replace(case_preset("a"), lip_f=12.5)).bound.lip_f == 12.5
+        assert scans == []
+
+    def test_memoised_value_equals_direct_scan(self, scans):
+        plant = make_benchmark_plant()
+        direct = estimate_lip_f(plant.f_true, plant.domain_lo, plant.domain_hi)
+        assert prepare_run(case_preset("d")).bound.lip_f == direct
+        assert prepare_run(case_preset("c")).bound.lip_f == direct
+        assert len(scans) == 1
 
 
 class TestStep:
@@ -303,9 +375,9 @@ class TestPosteriorQueries:
         for name in counts:
             original = getattr(GpModel, name)
 
-            def counting(self, x, _name=name, _original=original):
+            def counting(self, x, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
-                return _original(self, x)
+                return _original(self, x, **kwargs)
 
             monkeypatch.setattr(GpModel, name, counting)
         return counts
@@ -332,22 +404,28 @@ class TestPosteriorQueries:
 
 
 class TestGammaCheck:
-    """End-of-run gamma check: sigma once per distinct factor, stop at the first failure."""
+    """End-of-run gamma check: one grid kernel matrix per input set, sigma
+    once per distinct factor, stop at the first failure."""
 
     KERNEL = KernelParams(sigma_f=1.0, length_scale=0.3)
     NOISE = 0.05
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"posterior_grid": 0, "mean_grid": 0}
-        for name in counts:
-            original = getattr(GpModel, name)
+        counts = {"posterior_grid": 0, "kernel_matrix": 0}
+        posterior_grid = GpModel.posterior_grid
+        kernel_matrix = gp._kernel_matrix
 
-            def counting(self, xs, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(self, xs)
+        def counting_posterior_grid(self, xs, **kwargs):
+            counts["posterior_grid"] += 1
+            return posterior_grid(self, xs, **kwargs)
 
-            monkeypatch.setattr(GpModel, name, counting)
+        def counting_kernel_matrix(*args):
+            counts["kernel_matrix"] += 1
+            return kernel_matrix(*args)
+
+        monkeypatch.setattr(GpModel, "posterior_grid", counting_posterior_grid)
+        monkeypatch.setattr(gp, "_kernel_matrix", counting_kernel_matrix)
         return counts
 
     @pytest.fixture
@@ -370,22 +448,53 @@ class TestGammaCheck:
         ]
         verdicts = [gamma_ok_every_model(run.bound, [m], grid) for m in models]
         assert verdicts == [True, False, True, True]
-        calls.update(posterior_grid=0, mean_grid=0)
+        calls.update(posterior_grid=0, kernel_matrix=0)
         assert engine._check_gamma(run, models, grid) is False
-        assert calls == {"posterior_grid": 1, "mean_grid": 1}
+        assert calls == {"posterior_grid": 1, "kernel_matrix": 1}
         assert engine._check_gamma(run, models[:1] + models[2:], grid) is True
-        assert calls == {"posterior_grid": 2, "mean_grid": 3}
+        assert calls == {"posterior_grid": 2, "kernel_matrix": 2}
 
     def test_distinct_factors_agent_1_passes_agent_3_fails(self, calls, run_and_grid):
         run, grid = run_and_grid
         models = [self.model(3), self.model(5), self.model(7, amplitude=100.0), self.model(15)]
         verdicts = [gamma_ok_every_model(run.bound, [m], grid) for m in models]
         assert verdicts == [True, True, False, True]
-        calls.update(posterior_grid=0, mean_grid=0)
+        calls.update(posterior_grid=0, kernel_matrix=0)
         assert engine._check_gamma(run, models, grid) is False
-        assert calls == {"posterior_grid": 3, "mean_grid": 0}
+        assert calls == {"posterior_grid": 3, "kernel_matrix": 3}
         assert engine._check_gamma(run, models[:2] + models[3:], grid) is True
-        assert calls == {"posterior_grid": 6, "mean_grid": 0}
+        assert calls == {"posterior_grid": 6, "kernel_matrix": 6}
+
+    def test_grid_posteriors_equal_per_model_queries(self, run_and_grid):
+        _, grid = run_and_grid
+        base = self.model(9, amplitude=1.0)
+        shared = [base] + [base.with_outputs(np.full(9, v)) for v in (0.3, -2.0, 7.0)]
+        distinct = [self.model(n, amplitude=1.0) for n in (3, 5, 7, 15)]
+        for models in (shared, distinct, [GpModel(self.KERNEL, self.NOISE)] + distinct[:2]):
+            posteriors = list(gp._grid_posteriors(models, grid))
+            assert len(posteriors) == len(models)
+            for model, (mu, sigma) in zip(models, posteriors):
+                assert np.array_equal(mu, mean_grid(model, grid))
+                assert np.array_equal(sigma, model.posterior_grid(grid)[1])
+
+    def test_grid_posteriors_hold_one_kernel_matrix(self, run_and_grid):
+        # models on distinct inputs: the previous matrix is dropped before the
+        # next is built, so the walk peaks like one posterior_grid (1.34x if
+        # the old matrix stays alive)
+        _, grid = run_and_grid
+        models = [self.model(n, amplitude=1.0) for n in (300, 301, 302, 303)]
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = peak(lambda: models[-1].posterior_grid(grid))
+        walk = peak(lambda: [None for _ in gp._grid_posteriors(models, grid)])
+        assert walk <= 1.1 * single
 
     def test_episodes_match_every_model_oracle(self, monkeypatch):
         checked = []
@@ -429,7 +538,7 @@ class TestInitState:
             xs, ys = make_offline_dataset(run.plant, cfg.offline_dataset_size, cfg.sigma_n, rng)
             own = from_data(GpModel, run.kernel, cfg.sigma_n, xs, ys, max_points=cfg.max_points)
             assert model.same_factor(first)
-            assert np.array_equal(model.chol, own.chol)
+            assert np.array_equal(chol(model), chol(own))
             assert np.array_equal(model.outputs, own.outputs)
             for q in (-1.2, 0.05, 0.8):
                 assert model.posterior(q) == own.posterior(q)

@@ -21,13 +21,20 @@ from gpconsensus.gp import (
     check_gamma_condition,
     compute_beta,
     domain_grid,
-    error_bound,
     estimate_lipschitz,
-    kernel_eval,
     make_bound_context,
 )
 from gpconsensus.rng import SplitMix64
-from oracles import gp_posterior_reference, sample_gp_prior, solve_lower_strided
+from oracles import (
+    chol,
+    error_bound,
+    gp_posterior_reference,
+    kernel_eval,
+    mean_grid,
+    normals,
+    sample_gp_prior,
+    solve_lower_strided,
+)
 
 ORACLE_TOL = 1e-8
 CHOL_TOL = 1e-9
@@ -106,7 +113,7 @@ class TestPosterior:
             length_scale = 0.05 if trial % 2 == 0 else 0.3
             kernel = KernelParams(sigma_f=1.0, length_scale=length_scale)
             xs = [rng.uniform(-1.5, 1.5) for _ in range(m)]
-            ys = rng.normals(m)
+            ys = normals(rng, m)
             model = GpModel.from_data(kernel, NOISE_STD, xs, ys)
             q = rng.uniform(-1.5, 1.5)
             mu, sigma = model.posterior(q)
@@ -119,7 +126,7 @@ class TestPosterior:
     def test_grid_matches_scalar_queries(self):
         rng = SplitMix64(7002)
         xs = [rng.uniform(-1.0, 1.0) for _ in range(12)]
-        ys = rng.normals(12)
+        ys = normals(rng, 12)
         model = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys)
         grid = np.linspace(-1.5, 1.5, 31)
         mu_g, sigma_g = model.posterior_grid(grid)
@@ -142,13 +149,13 @@ class TestPosterior:
         rng = SplitMix64(7005)
         grid = np.linspace(-1.5, 1.5, 301)
         model = GpModel(BENCH_KERNEL, NOISE_STD)
-        assert np.array_equal(model.mean_grid(grid), model.posterior_grid(grid)[0])
+        assert np.array_equal(mean_grid(model, grid), model.posterior_grid(grid)[0])
         for _ in range(3):
             for _ in range(20):
                 model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
-            assert np.array_equal(model.mean_grid(grid), model.posterior_grid(grid)[0])
-        batch = GpModel.from_data(BENCH_KERNEL, NOISE_STD, np.linspace(-1, 1, 90), rng.normals(90))
-        assert np.array_equal(batch.mean_grid(grid), batch.posterior_grid(grid)[0])
+            assert np.array_equal(mean_grid(model, grid), model.posterior_grid(grid)[0])
+        batch = GpModel.from_data(BENCH_KERNEL, NOISE_STD, np.linspace(-1, 1, 90), normals(rng, 90))
+        assert np.array_equal(mean_grid(batch, grid), batch.posterior_grid(grid)[0])
 
     def test_interpolates_noisefree_like_data(self):
         rng = SplitMix64(7003)
@@ -198,7 +205,7 @@ class TestAddPoint:
             ys.append(y)
             model.add_point(x, y)
         batch = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys)
-        diff = np.linalg.norm(model.chol - batch.chol)
+        diff = np.linalg.norm(chol(model) - chol(batch))
         assert diff <= CHOL_TOL
 
     def test_chol_reconstructs_gram(self):
@@ -209,7 +216,7 @@ class TestAddPoint:
         xs = model.inputs
         diff = xs[:, None] - xs[None, :]
         gram = np.exp(-(diff * diff) / (2.0 * 0.05**2)) + 1e-4 * np.eye(xs.size)
-        lower = model.chol
+        lower = chol(model)
         assert np.linalg.norm(lower @ lower.T - gram) <= 1e-10
 
     def test_capacity_cap(self):
@@ -227,7 +234,7 @@ class TestAddPoint:
     def test_buffer_growth_preserves_posterior(self):
         rng = SplitMix64(7015)
         xs = [rng.uniform(-1.5, 1.5) for _ in range(80)]
-        ys = rng.normals(80)
+        ys = normals(rng, 80)
         incremental = GpModel(BENCH_KERNEL, NOISE_STD)
         for x, y in zip(xs, ys):
             incremental.add_point(x, y)  # crosses the 64-slot boundary
@@ -289,8 +296,8 @@ class TestLiveFactorSolves:
             model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
             m = model.size
             capacities.add(model._chol.shape[0])
-            b1 = np.asarray(rng.normals(m))
-            b2 = np.reshape(rng.normals(3 * m), (m, 3))
+            b1 = np.asarray(normals(rng, m))
+            b2 = np.reshape(normals(rng, 3 * m), (m, 3))
             assert np.array_equal(model._solve_lower(b1), solve_lower_strided(model, b1))
             assert np.array_equal(model._solve_lower(b2), solve_lower_strided(model, b2))
             narrow = narrow_copy(model)
@@ -335,7 +342,7 @@ class TestWithOutputs:
     def make_pair(self, seed=7030, m=90):
         rng = SplitMix64(seed)
         xs = np.linspace(-1.5, 1.5, m)
-        ys_a, ys_b = rng.normals(m), rng.normals(m)
+        ys_a, ys_b = normals(rng, m), normals(rng, m)
         return xs, ys_a, ys_b
 
     def test_same_bits_as_from_data(self):
@@ -344,7 +351,7 @@ class TestWithOutputs:
         shared = base.with_outputs(ys_b)
         direct = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_b, max_points=500)
         assert shared.max_points == direct.max_points == 500
-        assert np.array_equal(shared.chol, direct.chol)
+        assert np.array_equal(chol(shared), chol(direct))
         assert np.array_equal(shared.outputs, direct.outputs)
         assert np.array_equal(shared._alpha[: xs.size], direct._alpha[: xs.size])
         for q in (-1.47, -0.3, 0.0, 0.71, 1.5):
@@ -357,11 +364,11 @@ class TestWithOutputs:
         xs, ys_a, ys_b = self.make_pair(m=64)  # full buffer: the next point regrows it
         base = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_a)
         shared = base.with_outputs(ys_b)
-        before = (base.inputs, base.outputs, base.chol, base.posterior(0.123))
+        before = (base.inputs, base.outputs, chol(base), base.posterior(0.123))
         shared.add_point(0.123, 4.0)
         shared.add_point(-0.456, -4.0)
         assert shared.size == 66 and base.size == 64
-        after = (base.inputs, base.outputs, base.chol, base.posterior(0.123))
+        after = (base.inputs, base.outputs, chol(base), base.posterior(0.123))
         for got, want in zip(after[:3], before[:3]):
             assert np.array_equal(got, want)
         assert after[3] == before[3]
@@ -593,10 +600,10 @@ class TestProbabilisticCoverage:
         rng = SplitMix64(31415)
         fractions = []
         for _ in range(200):
-            f = sample_gp_prior(1.0, 0.1, grid, rng.normals(grid.size))
+            f = sample_gp_prior(1.0, 0.1, grid, normals(rng, grid.size))
             idx = sorted({int(rng.uniform(0, grid.size)) for _ in range(30)})
             xs = grid[idx]
-            ys = f[idx] + np.array(rng.normals(len(idx), sigma=NOISE_STD))
+            ys = f[idx] + np.array(normals(rng, len(idx), sigma=NOISE_STD))
             model = GpModel.from_data(kernel, NOISE_STD, xs, ys)
             mu, sigma = model.posterior_grid(grid)
             eta = 2.0 * math.sqrt(beta) * sigma

@@ -1,4 +1,4 @@
-"""Property tests: array laws and triggers against the per-agent oracles.
+"""Property tests: array laws, triggers and the RK4 step against oracles.
 
 Graphs are random connected graphs on 4-9 agents: a random spanning tree
 in which agent 0 has at least three neighbors, plus random extra edges,
@@ -18,10 +18,18 @@ from gpconsensus.control import (
     control_conventional,
     control_proposed,
 )
-from gpconsensus.plants import PlantSpec, make_benchmark_plant
+from gpconsensus.engine import rk4_step
+from gpconsensus.plants import (
+    PlantSpec,
+    drift,
+    make_affine_plant,
+    make_benchmark_plant,
+    make_sinusoidal_plant,
+)
 from gpconsensus.topology import build_topology
-from gpconsensus.triggers import MODES, classify_agent, evaluate_trigger
-from oracles import laws_per_agent, rho_scalar
+from gpconsensus.triggers import MODES, evaluate_trigger
+from oracles import classify_agent, laws_per_agent, rho_scalar
+from oracles import rk4_step as rk4_step_oracle
 
 PROPERTY_SETTINGS = settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -75,6 +83,40 @@ def test_array_laws_equal_per_agent_oracle(data, c, c_bar):
         assert rate.tolist() == ref_rate
         assert u_conv.tolist() == ref_conv
         assert u_prop.tolist() == ref_prop
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    c_bar=st.floats(0.1, 5.0),
+    dt=st.floats(1e-4, 1e-2),
+    coeffs=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.1, 20.0)),
+)
+def test_split_rk4_step_equals_concatenated_oracle(data, c_bar, dt, coeffs):
+    # agents and auxiliary states stepped apart give the bits of one RK4
+    # step of the concatenated system with the input held
+    top = data.draw(irregular_graphs())
+    n = top.n_agents
+    x = data.draw(agent_vector(top))
+    x_bar = data.draw(agent_vector(top))
+    u = data.draw(agent_vector(top, st.floats(-10.0, 10.0)))
+    lap = top.laplacian
+    a, b, freq = coeffs
+    plants = (
+        make_benchmark_plant(),
+        make_affine_plant(f_offset=a, f_slope=b),
+        make_sinusoidal_plant(amplitude=a, frequency=freq, offset=b),
+    )
+    for plant in plants:
+
+        def rhs(vec):
+            dx = np.array([drift(plant, float(vec[i]), float(u[i])) for i in range(n)])
+            return np.concatenate([dx, -c_bar * (lap @ vec[n:])])
+
+        ref = rk4_step_oracle(rhs, np.concatenate([x, x_bar]), dt)
+        new_x, new_x_bar = rk4_step(plant, x, u, x_bar, lap, c_bar, dt)
+        assert new_x.tobytes() == ref[:n].tobytes()
+        assert new_x_bar.tobytes() == ref[n:].tobytes()
 
 
 @PROPERTY_SETTINGS

@@ -9,20 +9,20 @@ import pytest
 
 from gpconsensus.analysis import consensus_error
 from gpconsensus.config import SimConfig
-from gpconsensus.engine import McRunRecord, prepare_run, run_episode, run_monte_carlo
+from gpconsensus.engine import McRunRecord, run_episode, run_monte_carlo
 from gpconsensus.presets import case_preset
 from gpconsensus.reporting import (
     build_meta,
     fmt_bool,
     fmt_float,
     git_describe,
-    read_trajectory_csv,
     summary_rows,
     write_montecarlo_csv,
     write_summary_csv,
     write_trajectory_csv,
 )
 from gpconsensus.rng import SplitMix64
+from oracles import read_trajectory_csv
 
 EXACT_TOL = 1e-12
 

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from gpconsensus.errors import InvalidParam
-from gpconsensus.gp import GpModel, KernelParams, error_bound, make_bound_context
+from gpconsensus.gp import GpModel, KernelParams, make_bound_context
 from gpconsensus.rng import SplitMix64
 from gpconsensus.triggers import (
-    classify_agent,
     evaluate_trigger,
     rho_naive,
     rho_proposed,
     rho_relaxed,
 )
+from oracles import classify_agent, error_bound
 
 ETA_BAR = 0.09764858224315007  # 2 sqrt(beta) sigma_n for the benchmark bound
 EPSILON = 0.7811886579452005  # 2 N eta_bar / c with c=1, N=4
