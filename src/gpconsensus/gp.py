@@ -4,7 +4,10 @@ Each agent keeps one scalar-input, scalar-output model with a squared
 exponential kernel, zero prior mean, and fixed hyperparameters. The
 factor of (K + sigma_n^2 I) is maintained as a lower Cholesky matrix and
 extended one row at a time when online points arrive, so a trigger costs
-O(M^2) instead of a full O(M^3) refactorization. The module also houses
+O(M^2) instead of a full O(M^3) refactorization. Every triangular solve,
+the back-solve for the weights included, is one LAPACK call on the live
+factor buffer: no solve copies the factor, and the results do not depend
+on the buffer's spare capacity. The module also houses
 the high-probability uniform error bound machinery: the confidence
 scaling beta, the pointwise bound 2*sqrt(beta)*sigma(x), and the grid
 checks for the Lipschitz-based validity condition.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import CapacityExceeded, InvalidParam, NumericalBreakdown
 
@@ -248,16 +251,16 @@ class GpModel:
 
     # -- internals ----------------------------------------------------
 
-    def _solve_lower(self, b: NDArray) -> NDArray:
-        """L^-1 b for the live factor L, read in place from the buffer.
+    def _solve_lower(self, b: NDArray, transposed: bool = False) -> NDArray:
+        """L^-1 b, or L^-T b if transposed, for the live factor L, in place.
 
         ``self._chol[:m].T`` is F-contiguous with Lᵀ as its leading m x m
-        block (lda = capacity), so LAPACK reads it without a copy. This is
-        the upper, transposed call that ``solve_triangular`` makes on its
-        copy of the factor; only lda differs, and the bits are the same.
-        b is 1-d or (m, k).
+        block (lda = capacity), so LAPACK reads it without a copy, and the
+        result does not depend on the buffer's spare capacity. b is 1-d or
+        (m, k).
         """
-        x, info = lapack.dtrtrs(self._chol[: self._m].T, b, lower=0, trans=1)
+        trans = 0 if transposed else 1
+        x, info = lapack.dtrtrs(self._chol[: self._m].T, b, lower=0, trans=trans)
         if info != 0:
             raise NumericalBreakdown(f"triangular solve failed (LAPACK dtrtrs info {info})")
         return x
@@ -265,11 +268,7 @@ class GpModel:
     def _refresh_alpha(self) -> None:
         m = self._m
         z = self._solve_lower(self._y[:m])
-        # kept on solve_triangular: its LAPACK path depends on whether
-        # capacity == m, and the golden bits depend on that path
-        self._alpha[:m] = solve_triangular(
-            self._chol[:m, :m].T, z, lower=False, check_finite=False
-        )
+        self._alpha[:m] = self._solve_lower(z, transposed=True)
 
     def _ensure_capacity(self, needed: int) -> None:
         cap = self._x.size

@@ -13,6 +13,7 @@ from gpconsensus.config import SimConfig
 from gpconsensus.engine import (
     LIP_GRID_STEP,
     SimState,
+    auxiliary_step_matrix,
     init_state,
     make_offline_dataset,
     prepare_run,
@@ -72,10 +73,11 @@ class TestRk4Step:
         plant = make_appendix_plant()
         max_errs = []
         for dt in (4e-3, 2e-3, 1e-3):
+            step_matrix = auxiliary_step_matrix(self.LAP_PAIR, c_bar, dt)
             x, xb = np.zeros(2), np.array(xb0)
             worst = 0.0
             for k in range(1, int(round(1.0 / dt)) + 1):
-                x, xb = rk4_step(plant, x, np.zeros(2), xb, self.LAP_PAIR, c_bar, dt)
+                x, xb = rk4_step(plant, x, np.zeros(2), xb, step_matrix, dt)
                 ref = appendix_solution(xb0, 0.0, c_bar, k * dt)
                 worst = max(worst, abs(xb[0] - ref[0]), abs(xb[1] - ref[1]))
             max_errs.append(worst)
@@ -90,21 +92,40 @@ class TestRk4Step:
             np.array([1.0, 1.0]),
             np.array([0.0, -5.0]),
             np.array([0.5, 0.5]),
-            self.LAP_PAIR,
-            1.0,
+            auxiliary_step_matrix(self.LAP_PAIR, 1.0, 0.25),
             0.25,
         )
         assert np.array_equal(x, np.array([1.5, 0.25]))
         assert np.array_equal(xb, np.array([0.5, 0.5]))
 
     def test_one_step_matches_truncated_series(self):
-        # scalar xdot = x: the step factor is the quartic Taylor polynomial
+        # scalar xdot = x, and x_bar along the pair's eigenvector (1, -1) of
+        # eigenvalue 2: both step factors are the quartic Taylor polynomial
         h = 0.1
         plant = make_affine_plant(f_offset=0.0, f_slope=1.0)
+        step_matrix = auxiliary_step_matrix(self.LAP_PAIR, 1.0, h)
+        x, xb = rk4_step(
+            plant, np.array([1.0, 1.0]), np.zeros(2), np.array([1.0, -1.0]), step_matrix, h
+        )
+        taylor = [1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24 for z in (h, -2.0 * h)]
+        assert np.all(np.abs(x - taylor[0]) <= 1e-15)
+        assert np.all(np.abs(xb - np.array([1.0, -1.0]) * taylor[1]) <= 1e-15)
+
+    def test_consensus_is_a_fixed_point(self):
+        # x_bar + D x_bar moves this consensus vector by one ulp (one case
+        # in 60,000 random ones); the increment of x_bar - x_bar[0] is 0
+        edges = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8)]
+        edges += [(2, 7), (3, 7), (5, 6), (5, 8), (6, 9)]
+        lap = build_topology(9, edges).laplacian
+        level = np.full(9, 0.4636469787892281)
+        plant = make_affine_plant(f_offset=0.0, f_slope=0.0)
+        step_matrix = auxiliary_step_matrix(lap, 5.0, 1e-2)
+        _, xb = rk4_step(plant, level, np.zeros(9), level, step_matrix, 1e-2)
+        assert xb.tobytes() == level.tobytes()
+
+    def test_single_agent_step_matrix_is_zero(self):
         lap = build_topology(1, ()).laplacian
-        x, _ = rk4_step(plant, np.array([1.0]), np.array([0.0]), np.array([1.0]), lap, 1.0, h)
-        expected = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
-        assert abs(x[0] - expected) <= 1e-15
+        assert auxiliary_step_matrix(lap, 1.0, 1e-3).tolist() == [[0.0]]
 
 
 class TestOfflineDataset:
@@ -178,6 +199,14 @@ class TestPrepareRun:
         )
         with pytest.raises(ConfigError, match=r"agent 1 is 2\.0, outside \[-1\.5, 1\.5\]"):
             prepare_run(cfg)
+
+    def test_contexts_of_one_config_compare_and_hash_equal(self):
+        # x_bar_step is an array derived from the config, left out of ==
+        first, second = prepare_run(case_preset("d")), prepare_run(case_preset("d"))
+        assert first.x_bar_step is not second.x_bar_step
+        assert np.array_equal(first.x_bar_step, second.x_bar_step)
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
 
 
 class TestLipMemo:

@@ -322,6 +322,23 @@ class TestLiveFactorSolves:
         grid = np.linspace(-1.5, 1.5, 3)
         assert peak_bytes(lambda: model.posterior_grid(grid)) < 64 * 1024
 
+    def test_add_point_does_not_copy_the_factor(self):
+        model = grown_model(500)
+        assert model._chol.shape == (512, 512)
+        assert peak_bytes(lambda: model.add_point(0.123, 0.5)) < 64 * 1024
+
+    def test_factor_and_weights_independent_of_buffer_capacity(self):
+        rng = SplitMix64(7052)
+        points = [(rng.uniform(-1.5, 1.5), rng.normal()) for _ in range(100)]
+        models = [GpModel(BENCH_KERNEL, NOISE_STD, max_points=cap) for cap in (100, 1000)]
+        for model in models:
+            for x, y in points:
+                model.add_point(x, y)
+        tight, spare = models
+        assert (tight._chol.shape[0], spare._chol.shape[0]) == (100, 128)
+        assert np.array_equal(chol(tight), chol(spare))
+        assert tight._alpha.tobytes() == spare._alpha[:100].tobytes()
+
     def test_zero_pivot_raises_numerical_breakdown(self):
         model = grown_model(100)
         model._chol[40, 40] = 0.0
