@@ -39,6 +39,7 @@ from .gp import (
     check_gamma_condition,
     domain_grid,
     estimate_lipschitz,
+    lipschitz_estimate,
     make_bound_context,
 )
 from .plants import PlantSpec, drift, estimate_lip_f, make_plant, measure
@@ -417,10 +418,27 @@ def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
     failure. Models on the same inputs share one grid kernel matrix, and
     models with the same factor share one sigma solve; each model's mean,
     and so its lip_mu, is still its own.
+
+    Before a factor's full-grid sigma is solved, a failure is proven where
+    it can be: gamma without its sqrt(beta) lip_sigma term, (lip_f +
+    lip_mu) tau, is no larger than gamma in floating point too, and
+    ``GridPosterior.sigma_upper`` is at or above the smallest sigma the
+    full solve would give. When the first exceeds sqrt(beta) times the
+    second, the full check would fail, and the O(M^2) solve per grid
+    point is skipped. Otherwise the full check decides. The verdict is the
+    same either way; only a negative variance elsewhere on the grid of a
+    model so proven to fail is no longer raised.
     """
-    for mu, sigma in _grid_posteriors(models, grid):
-        lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
-        ctx = replace(run.bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
+    bound = run.bound
+    for post in _grid_posteriors(models, grid):
+        sigma_up = post.sigma_upper()
+        if sigma_up is not None:
+            gamma_lo = (bound.lip_f + lipschitz_estimate(grid, post.mu)) * bound.tau
+            if gamma_lo > run.root_beta * sigma_up:
+                return False
+        sigma = post.sigma()
+        lip_mu, lip_sigma = estimate_lipschitz(grid, post.mu, sigma)
+        ctx = replace(bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
         if not check_gamma_condition(ctx, sigma):
             return False
     return True

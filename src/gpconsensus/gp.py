@@ -292,30 +292,121 @@ class GpModel:
         )
 
 
-def _grid_posteriors(models, xs) -> Iterator[tuple[NDArray, NDArray]]:
-    """(mu, sigma) of each model over a query grid, in model order, lazily.
+# grid points whose sigma is solved before the end-of-run grid solve
+_PROBE_POINTS = 16
 
-    Consecutive models on the same inputs share one kernel matrix, and
-    sigma is solved by ``posterior_grid`` once per distinct factor; every
+# unit roundoff of IEEE double precision
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+class GridPosterior:
+    """One model's posterior on a query grid, as ``_grid_posteriors`` yields it.
+
+    ``mu`` is the model's own mean, with the bits of ``posterior_grid``.
+    ``sigma()`` is the std on the whole grid, solved by ``posterior_grid``
+    once per distinct factor of the walk. ``sigma_upper()`` bounds its
+    minimum from a few grid points. It is valid until the walk moves on.
+    """
+
+    def __init__(self, model: GpModel, q: NDArray, kq: NDArray, solved: list):
+        self._model = model
+        self.mu = kq.T @ model._alpha[: model._m]
+        self._q = q
+        self._kq = kq
+        self._solved = solved  # (model, sigma) per factor solved in this walk
+        self._sigma = next((s for other, s in solved if model.same_factor(other)), None)
+
+    def sigma(self) -> NDArray:
+        if self._sigma is None:
+            _, self._sigma = self._model.posterior_grid(self._q, _kq=self._kq)
+            self._solved.append((self._model, self._sigma))
+        return self._sigma
+
+    def sigma_upper(self) -> float | None:
+        """A float at or above min(``sigma()``), from at most _PROBE_POINTS points.
+
+        sigma is solved at the grid points nearest the model's inputs where
+        those are densest, by ``posterior_grid`` on the shared kernel
+        columns, so a negative variance there still raises. None for an
+        empty model, when this factor's full sigma is already known, or
+        when the margin below leaves its first-order regime.
+
+        The margin covers the full solve rounding differently from the
+        probe, as dtrtrs on thousands of right-hand sides may block
+        differently from dtrtrs on 16. Substitution in any order is
+        componentwise backward stable (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., Thm 8.5): each solve is exact for a
+        factor L + dL with |dL| <= m u |L|, so it is the exact posterior for
+        the Gram matrix L L^T + E with |E| <= 2 m u |L| |L|^T. By
+        Cauchy-Schwarz on the rows of L, whose squared norms are the Gram
+        diagonal, that is at most 2 m u d entrywise, d = sigma_f^2 +
+        sigma_n^2 + the largest jitter, so ||E||_2 <= 2 m^2 u d. To first
+        order the variance moves by h^T E h with h = (L L^T)^-1 k, and
+        sigma_n^2 |h|^2 <= sigma^2 (the noise share of the posterior
+        variance), so every computed variance lies within rel * sigma^2 of
+        the exact one, rel = 2 m^2 u d / sigma_n^2, plus m u sigma_f^2 from
+        summing the squares. For rel <= 1/4 the full solve's sigma at a probe
+        point is then below (1 + 2 rel) sigma_probe + 2 sigma_f sqrt(m u),
+        and the slack between the two covers rounding this bound itself.
+        """
+        model = self._model
+        m = model._m
+        if m == 0 or self._sigma is not None:
+            return None
+        sigma_f = model.kernel.sigma_f
+        noise_var = model.noise_std**2
+        d = sigma_f**2 + noise_var + JITTER_LADDER[-1]
+        rel = 2.0 * m * m * _UNIT_ROUNDOFF * d / noise_var
+        if rel > 0.25:
+            return None
+        cols = _probe_columns(model, self._q)
+        _, sigma = model.posterior_grid(self._q[cols], _kq=self._kq[:, cols])
+        return float(np.min(sigma)) * (1.0 + 2.0 * rel) + 2.0 * sigma_f * math.sqrt(
+            m * _UNIT_ROUNDOFF
+        )
+
+
+def _probe_columns(model: GpModel, q: NDArray) -> NDArray:
+    """At most _PROBE_POINTS indices into the ascending grid q.
+
+    Takes the grid point nearest each input of the model and keeps those
+    with the most inputs within one length scale: sigma is smallest where
+    the data is densest. The sigma of any grid point bounds the grid's
+    minimum, so the choice only sets how often a failure is proven.
+    """
+    xs = np.sort(model._x[: model._m])
+    hi = np.clip(np.searchsorted(q, xs), 1, q.size - 1)
+    cols = np.unique(np.where(xs - q[hi - 1] < q[hi] - xs, hi - 1, hi))
+    ell = model.kernel.length_scale
+    near = np.searchsorted(xs, q[cols] + ell, "right") - np.searchsorted(xs, q[cols] - ell)
+    return cols[np.argsort(-near, kind="stable")[:_PROBE_POINTS]]
+
+
+def _grid_posteriors(models, xs) -> Iterator[GridPosterior]:
+    """The ``GridPosterior`` of each model over a query grid, in model order, lazily.
+
+    Consecutive models on the same inputs share one kernel matrix, and the
+    full-grid sigma is solved at most once per distinct factor; every
     model's mean is its own. The bits are those of ``posterior_grid`` on
-    each model. Only the current kernel matrix is held, and a caller that
-    stops early builds none for the models it skips.
+    each model. Only the current kernel matrix is held: moving on drops
+    the previous one, the previous posterior's reference included, and a
+    caller that stops early builds none for the models it skips.
     """
     q = np.asarray(xs, dtype=float)
     solved: list[tuple[GpModel, NDArray]] = []
     basis: GpModel | None = None  # the model whose inputs built kq
     kq = None
+    post: GridPosterior | None = None
     for model in models:
         if basis is None or not model._same_inputs(basis):
-            kq = None  # drop the old matrix before building the next
+            # drop the old matrix, the previous posterior's reference to it
+            # too, before building the next
+            kq = None
+            if post is not None:
+                post._kq = None
             basis, kq = model, _kernel_matrix(model.kernel, model._x[: model._m], q)
-        sigma = next((s for other, s in solved if model.same_factor(other)), None)
-        if sigma is None:
-            mu, sigma = model.posterior_grid(q, _kq=kq)
-            solved.append((model, sigma))
-        else:
-            mu = kq.T @ model._alpha[: model._m]
-        yield mu, sigma
+        post = GridPosterior(model, q, kq, solved)
+        yield post
 
 
 def _clamp_var(var: float) -> float:
@@ -428,16 +519,19 @@ def domain_grid(domain_lo: float, domain_hi: float, grid_step: float) -> NDArray
     return np.linspace(domain_lo, domain_hi, n)
 
 
-def estimate_lipschitz(grid: NDArray, mu: NDArray, sigma: NDArray) -> tuple[float, float]:
-    """Grid estimates of the slopes of the posterior mean and std.
+def lipschitz_estimate(grid: NDArray, values: NDArray) -> float:
+    """The grid estimate of the slope of values on a uniform grid.
 
-    Takes a uniform grid and the posterior (mu, sigma) on it; returns the
-    max absolute finite-difference slopes, inflated by a 1.1 safety factor.
+    The max absolute finite-difference slope, inflated by a 1.1 safety
+    factor.
     """
     h = grid[1] - grid[0]
-    lip_mu = float(np.max(np.abs(np.diff(mu)))) / h
-    lip_sigma = float(np.max(np.abs(np.diff(sigma)))) / h
-    return 1.1 * lip_mu, 1.1 * lip_sigma
+    return 1.1 * (float(np.max(np.abs(np.diff(values)))) / h)
+
+
+def estimate_lipschitz(grid: NDArray, mu: NDArray, sigma: NDArray) -> tuple[float, float]:
+    """``lipschitz_estimate`` of the posterior mean and std on a uniform grid."""
+    return lipschitz_estimate(grid, mu), lipschitz_estimate(grid, sigma)
 
 
 def check_gamma_condition(ctx: BoundContext, sigma: NDArray) -> bool:

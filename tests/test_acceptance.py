@@ -339,3 +339,21 @@ def test_invariant_case_d_sweep_quiet_tail(mc):
     frac = quiet / len(d_records)
     print(f"invariant: {quiet}/{len(d_records)} runs quiet after t=8")
     assert frac >= 0.9
+
+
+def test_invariant_case_d_dataset_size_tracks_noise_not_delta():
+    # check 4's dataset size is set by where sigma climbs back above the
+    # noise level, so it moves with sigma_n and stays put across the
+    # confidence parameter delta; check 4 itself stays red
+    for seed in (0, 1):
+        sizes = {}
+        for sigma_n in (0.01, 0.02):
+            for delta in (0.01, 0.001):
+                cfg = replace(
+                    case_preset("d"), t_end=1.0, seed=seed, sigma_n=sigma_n, delta=delta
+                )
+                sizes[sigma_n, delta] = run_episode(cfg)[1].max_dataset_size
+        print(f"invariant: seed {seed} max dataset sizes {sizes}")
+        for sigma_n in (0.01, 0.02):
+            assert sizes[sigma_n, 0.01] == sizes[sigma_n, 0.001]
+        assert all(a > b for a, b in zip(sizes[0.01, 0.01], sizes[0.02, 0.01]))

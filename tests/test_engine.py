@@ -22,7 +22,13 @@ from gpconsensus.engine import (
     run_monte_carlo,
     step,
 )
-from gpconsensus.errors import CapacityExceeded, ConfigError, GpConsensusError, OutOfDomain
+from gpconsensus.errors import (
+    CapacityExceeded,
+    ConfigError,
+    GpConsensusError,
+    NumericalBreakdown,
+    OutOfDomain,
+)
 from gpconsensus.gp import GpModel, KernelParams, domain_grid
 from gpconsensus.plants import (
     estimate_lip_f,
@@ -395,20 +401,33 @@ class TestDomainEscape:
         assert "case=c seed=3" in rec.message
 
 
+def count_grid_solves(monkeypatch, counts):
+    """Count ``posterior_grid`` calls into counts: a probe of at most
+    ``gp._PROBE_POINTS`` points as "probe", a full-grid solve as "grid"."""
+    posterior_grid = GpModel.posterior_grid
+
+    def counting(self, xs, **kwargs):
+        counts["probe" if len(xs) <= gp._PROBE_POINTS else "grid"] += 1
+        return posterior_grid(self, xs, **kwargs)
+
+    monkeypatch.setattr(GpModel, "posterior_grid", counting)
+
+
 class TestPosteriorQueries:
-    """sigma is computed only where a trigger, a logged row or an event reads it."""
+    """sigma is computed only where a trigger, a logged row, an event or a
+    gamma check that may pass reads it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"posterior": 0, "posterior_grid": 0}
-        for name in counts:
-            original = getattr(GpModel, name)
+        counts = {"posterior": 0, "grid": 0, "probe": 0}
+        posterior = GpModel.posterior
 
-            def counting(self, x, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(self, x, **kwargs)
+        def counting(self, x):
+            counts["posterior"] += 1
+            return posterior(self, x)
 
-            monkeypatch.setattr(GpModel, name, counting)
+        monkeypatch.setattr(GpModel, "posterior", counting)
+        count_grid_solves(monkeypatch, counts)
         return counts
 
     def test_offline_queries_sigma_on_logged_rows_only(self, calls):
@@ -417,8 +436,10 @@ class TestPosteriorQueries:
         n_logged = traj.t.size - 1
         assert n_logged == 10
         assert calls["posterior"] == cfg.n_agents * (n_logged + 1)
-        # the agents share one factor, so one grid solve serves all four
-        assert calls["posterior_grid"] == 1
+        # the check passes, so the probe cannot decide it; the agents share
+        # one factor, so one grid solve serves all four
+        assert summary.gamma_ok
+        assert (calls["probe"], calls["grid"]) == (1, 1)
 
     def test_online_queries_once_per_agent_step_plus_events(self, calls):
         cfg = dataclasses.replace(case_preset("d"), t_end=0.1)
@@ -427,33 +448,37 @@ class TestPosteriorQueries:
         n_steps = 100
         expected = cfg.n_agents * (n_steps + 1) + len(summary.events)
         assert calls["posterior"] == expected
-        # agent 1 already violates the gamma condition, so the check stops
+        # agent 1's probe already proves the gamma condition broken
         assert not summary.gamma_ok
-        assert calls["posterior_grid"] == 1
+        assert (calls["probe"], calls["grid"]) == (1, 0)
+
+    def test_dense_offline_failure_skips_the_grid_solve(self, calls):
+        # the offline-dense benchmark's 1000-point dataset: lip_f + lip_mu
+        # alone break the condition, so sigma is solved at the probes only
+        cfg = dataclasses.replace(case_preset("c"), t_end=0.1, offline_dataset_size=1000)
+        _, summary = run_episode(cfg)
+        assert not summary.gamma_ok
+        assert (calls["probe"], calls["grid"]) == (1, 0)
 
 
 class TestGammaCheck:
     """End-of-run gamma check: one grid kernel matrix per input set, sigma
-    once per distinct factor, stop at the first failure."""
+    once per distinct factor, failures proven from probes where they can
+    be, stop at the first failure."""
 
     KERNEL = KernelParams(sigma_f=1.0, length_scale=0.3)
     NOISE = 0.05
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"posterior_grid": 0, "kernel_matrix": 0}
-        posterior_grid = GpModel.posterior_grid
+        counts = {"grid": 0, "probe": 0, "kernel_matrix": 0}
         kernel_matrix = gp._kernel_matrix
-
-        def counting_posterior_grid(self, xs, **kwargs):
-            counts["posterior_grid"] += 1
-            return posterior_grid(self, xs, **kwargs)
 
         def counting_kernel_matrix(*args):
             counts["kernel_matrix"] += 1
             return kernel_matrix(*args)
 
-        monkeypatch.setattr(GpModel, "posterior_grid", counting_posterior_grid)
+        count_grid_solves(monkeypatch, counts)
         monkeypatch.setattr(gp, "_kernel_matrix", counting_kernel_matrix)
         return counts
 
@@ -477,22 +502,65 @@ class TestGammaCheck:
         ]
         verdicts = [gamma_ok_every_model(run.bound, [m], grid) for m in models]
         assert verdicts == [True, False, True, True]
-        calls.update(posterior_grid=0, kernel_matrix=0)
+        # agent 1 passes, so it solves the grid after its probe; agent 2
+        # reuses that sigma without a probe
+        calls.update(grid=0, probe=0, kernel_matrix=0)
         assert engine._check_gamma(run, models, grid) is False
-        assert calls == {"posterior_grid": 1, "kernel_matrix": 1}
+        assert calls == {"grid": 1, "probe": 1, "kernel_matrix": 1}
         assert engine._check_gamma(run, models[:1] + models[2:], grid) is True
-        assert calls == {"posterior_grid": 2, "kernel_matrix": 2}
+        assert calls == {"grid": 2, "probe": 2, "kernel_matrix": 2}
 
     def test_distinct_factors_agent_1_passes_agent_3_fails(self, calls, run_and_grid):
         run, grid = run_and_grid
         models = [self.model(3), self.model(5), self.model(7, amplitude=100.0), self.model(15)]
         verdicts = [gamma_ok_every_model(run.bound, [m], grid) for m in models]
         assert verdicts == [True, True, False, True]
-        calls.update(posterior_grid=0, kernel_matrix=0)
+        # agent 3's steep mean fails on its probe alone
+        calls.update(grid=0, probe=0, kernel_matrix=0)
         assert engine._check_gamma(run, models, grid) is False
-        assert calls == {"posterior_grid": 3, "kernel_matrix": 3}
+        assert calls == {"grid": 2, "probe": 3, "kernel_matrix": 3}
         assert engine._check_gamma(run, models[:2] + models[3:], grid) is True
-        assert calls == {"posterior_grid": 6, "kernel_matrix": 6}
+        assert calls == {"grid": 5, "probe": 6, "kernel_matrix": 6}
+
+    def test_empty_models_take_the_full_path(self, calls, run_and_grid):
+        run, grid = run_and_grid
+        models = [GpModel(self.KERNEL, self.NOISE) for _ in range(3)]
+        assert gamma_ok_every_model(run.bound, models, grid) is True
+        # no inputs to probe near; the empty models share one (solve-free) sigma
+        calls.update(grid=0, probe=0)
+        assert engine._check_gamma(run, models, grid) is True
+        assert (calls["probe"], calls["grid"]) == (0, 1)
+
+    def test_near_tie_declines_the_shortcut(self, calls, run_and_grid):
+        # lip_f puts gamma's lower bound between the probe's sigma and its
+        # margin: without the margin the probe would decide, with it the
+        # full solve does
+        run, grid = run_and_grid
+        model = self.model(15)  # flat targets: lip_mu = 0
+        post = next(gp._grid_posteriors([model], grid))
+        assert gp.lipschitz_estimate(grid, post.mu) == 0.0
+        upper = post.sigma_upper()
+        cols = gp._probe_columns(model, grid)
+        probe_min = float(model.posterior_grid(grid[cols])[1].min())
+        assert probe_min < upper
+        lip_f = run.root_beta * (probe_min + upper) / 2.0 / run.bound.tau
+        tied = dataclasses.replace(run, bound=dataclasses.replace(run.bound, lip_f=lip_f))
+        gamma_lo = lip_f * tied.bound.tau
+        assert run.root_beta * probe_min < gamma_lo <= run.root_beta * upper
+        calls.update(grid=0, probe=0)
+        assert engine._check_gamma(tied, [model], grid) is False
+        assert (calls["probe"], calls["grid"]) == (1, 1)
+        assert gamma_ok_every_model(tied.bound, [model], grid) is False
+
+    def test_negative_probe_variance_raises(self, calls, run_and_grid):
+        # shrinking the factor inflates L^-1 k, so sigma_f^2 - |L^-1 k|^2
+        # falls far below -NEG_VAR_TOL near the data
+        run, grid = run_and_grid
+        model = self.model(15)
+        model._chol *= 0.9
+        with pytest.raises(NumericalBreakdown, match="posterior variance"):
+            engine._check_gamma(run, [model], grid)
+        assert (calls["probe"], calls["grid"]) == (1, 0)
 
     def test_grid_posteriors_equal_per_model_queries(self, run_and_grid):
         _, grid = run_and_grid
@@ -500,7 +568,7 @@ class TestGammaCheck:
         shared = [base] + [base.with_outputs(np.full(9, v)) for v in (0.3, -2.0, 7.0)]
         distinct = [self.model(n, amplitude=1.0) for n in (3, 5, 7, 15)]
         for models in (shared, distinct, [GpModel(self.KERNEL, self.NOISE)] + distinct[:2]):
-            posteriors = list(gp._grid_posteriors(models, grid))
+            posteriors = [(p.mu, p.sigma()) for p in gp._grid_posteriors(models, grid)]
             assert len(posteriors) == len(models)
             for model, (mu, sigma) in zip(models, posteriors):
                 assert np.array_equal(mu, mean_grid(model, grid))
@@ -522,7 +590,7 @@ class TestGammaCheck:
                 tracemalloc.stop()
 
         single = peak(lambda: models[-1].posterior_grid(grid))
-        walk = peak(lambda: [None for _ in gp._grid_posteriors(models, grid)])
+        walk = peak(lambda: [p.sigma() for p in gp._grid_posteriors(models, grid)])
         assert walk <= 1.1 * single
 
     def test_episodes_match_every_model_oracle(self, monkeypatch):

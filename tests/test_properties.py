@@ -1,4 +1,5 @@
-"""Property tests: array laws, triggers and the RK4 step against oracles.
+"""Property tests: array laws, triggers, the RK4 step and the gamma check
+against oracles.
 
 Graphs are random connected graphs on 4-9 agents: a random spanning tree
 in which agent 0 has at least three neighbors, plus random extra edges,
@@ -7,6 +8,7 @@ suite is reproducible.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -18,7 +20,14 @@ from gpconsensus.control import (
     control_conventional,
     control_proposed,
 )
-from gpconsensus.engine import auxiliary_step_matrix, rk4_step
+from gpconsensus.engine import (
+    LIP_GRID_STEP,
+    _check_gamma,
+    auxiliary_step_matrix,
+    prepare_run,
+    rk4_step,
+)
+from gpconsensus.gp import GpModel, KernelParams, domain_grid
 from gpconsensus.plants import (
     PlantSpec,
     drift,
@@ -26,9 +35,10 @@ from gpconsensus.plants import (
     make_benchmark_plant,
     make_sinusoidal_plant,
 )
+from gpconsensus.presets import case_preset
 from gpconsensus.topology import build_topology
 from gpconsensus.triggers import MODES, evaluate_trigger
-from oracles import classify_agent, laws_per_agent, rho_scalar
+from oracles import classify_agent, gamma_ok_every_model, laws_per_agent, rho_scalar
 from oracles import rk4_step as rk4_step_oracle
 
 PROPERTY_SETTINGS = settings(
@@ -216,3 +226,57 @@ def test_trigger_partition(eta, x, x_bar, c, n_agents, eta_bar):
         assert region == "S3"
         # a silent agent in S3 has disagreement dominating its bound
         assert gap * gap >= (eta * eta + (n_agents - 1) * eta_bar**2) * (1.0 - 1e-12)
+
+
+GAMMA_RUN = prepare_run(case_preset("c"))
+GAMMA_GRID = domain_grid(GAMMA_RUN.plant.domain_lo, GAMMA_RUN.plant.domain_hi, LIP_GRID_STEP)
+
+
+@st.composite
+def gp_models(draw, kernel, noise):
+    """A model of at most 60 points: spread or clustered inputs, batch or
+    online factor, flat, steep or random targets."""
+    n = draw(st.integers(0, 60))
+    lo = draw(st.floats(-1.5, 1.4))
+    width = draw(st.sampled_from((0.02, 0.3, 3.0)))
+    xs = draw(st.lists(st.floats(lo, min(lo + width, 1.5)), min_size=n, max_size=n))
+    xs = np.array(xs)
+    shape = draw(st.sampled_from(("flat", "steep", "random")))
+    if shape == "flat":
+        ys = np.full(n, draw(st.floats(-1.0, 1.0)))
+    elif shape == "steep":
+        ys = draw(st.sampled_from((1.0, 100.0))) * np.sin(xs / kernel.length_scale)
+    else:
+        ys = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return GpModel.from_data(kernel, noise, xs, ys)
+    model = GpModel(kernel, noise)
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        model.add_point(x, y)
+    return model
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    length_scale=st.sampled_from((0.05, 0.3)),
+    noise=st.sampled_from((0.01, 0.05)),
+    lip_f=st.floats(0.0, 40.0),
+)
+def test_gamma_check_equals_every_model_oracle(data, length_scale, noise, lip_f):
+    # shared factors come from with_outputs on the previous model, so the
+    # walk reuses a full-grid sigma or probes a fresh factor, and the
+    # probe's proof of failure must never change the verdict; lip_f sweeps
+    # gamma across the probed sigma, near ties included
+    run = replace(GAMMA_RUN, bound=replace(GAMMA_RUN.bound, lip_f=lip_f))
+    kernel = KernelParams(sigma_f=1.0, length_scale=length_scale)
+    models = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if models and data.draw(st.booleans()):
+            m = models[-1].size
+            ys = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+            models.append(models[-1].with_outputs(ys))
+        else:
+            models.append(data.draw(gp_models(kernel, noise)))
+    expected = gamma_ok_every_model(run.bound, models, GAMMA_GRID)
+    assert _check_gamma(run, models, GAMMA_GRID) is expected
