@@ -35,7 +35,9 @@ from .gp import (
     BoundContext,
     GpModel,
     KernelParams,
-    _grid_posteriors,
+    _grid_mean,
+    _kernel_matrix,
+    _sigma_upper,
     check_gamma_condition,
     domain_grid,
     estimate_lipschitz,
@@ -415,29 +417,36 @@ def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
     """Whether every model meets the bound-validity (gamma) condition on grid.
 
     Models are checked in agent order, and the check stops at the first
-    failure. Models on the same inputs share one grid kernel matrix, and
-    models with the same factor share one sigma solve; each model's mean,
-    and so its lip_mu, is still its own.
+    failure. Consecutive models on one factor (``GpModel.same_factor``)
+    share one grid kernel matrix and one sigma solve; each model's mean,
+    and so its lip_mu, is still its own. Only one kernel matrix is held:
+    the previous one is dropped before the next is built.
 
     Before a factor's full-grid sigma is solved, a failure is proven where
     it can be: gamma without its sqrt(beta) lip_sigma term, (lip_f +
     lip_mu) tau, is no larger than gamma in floating point too, and
-    ``GridPosterior.sigma_upper`` is at or above the smallest sigma the
-    full solve would give. When the first exceeds sqrt(beta) times the
-    second, the full check would fail, and the O(M^2) solve per grid
-    point is skipped. Otherwise the full check decides. The verdict is the
-    same either way; only a negative variance elsewhere on the grid of a
-    model so proven to fail is no longer raised.
+    ``gp._sigma_upper`` is at or above the smallest sigma the full solve
+    would give. When the first exceeds sqrt(beta) times the second, the
+    full check would fail, and the O(M^2) solve per grid point is skipped.
+    Otherwise the full check decides. The verdict is the same either way;
+    only a negative variance elsewhere on the grid of a model so proven to
+    fail is no longer raised.
     """
     bound = run.bound
-    for post in _grid_posteriors(models, grid):
-        sigma_up = post.sigma_upper()
-        if sigma_up is not None:
-            gamma_lo = (bound.lip_f + lipschitz_estimate(grid, post.mu)) * bound.tau
-            if gamma_lo > run.root_beta * sigma_up:
-                return False
-        sigma = post.sigma()
-        lip_mu, lip_sigma = estimate_lipschitz(grid, post.mu, sigma)
+    factor = kq = sigma = None
+    for model in models:
+        if factor is None or not model.same_factor(factor):
+            factor, kq, sigma = model, None, None
+            kq = _kernel_matrix(model.kernel, model.inputs, grid)
+        mu = _grid_mean(model, kq)
+        if sigma is None:
+            sigma_up = _sigma_upper(model, grid, kq)
+            if sigma_up is not None:
+                gamma_lo = (bound.lip_f + lipschitz_estimate(grid, mu)) * bound.tau
+                if gamma_lo > run.root_beta * sigma_up:
+                    return False
+            _, sigma = model.posterior_grid(grid, _kq=kq)
+        lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
         ctx = replace(bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
         if not check_gamma_condition(ctx, sigma):
             return False

@@ -16,7 +16,6 @@ checks for the Lipschitz-based validity condition.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +66,8 @@ class GpModel:
     capacity-doubled up to max_points; the weight vector alpha solving
     (K + sigma_n^2 I) alpha = y is cached and refreshed on append, which
     makes mean queries O(M) and variance queries one triangular solve.
+    Models made by ``with_outputs`` hold the input and factor buffers by
+    reference, read-only; ``add_point`` copies them before its first write.
     """
 
     def __init__(self, kernel: KernelParams, noise_std: float, max_points: int = 1000):
@@ -120,18 +121,20 @@ class GpModel:
         """A new model on this model's inputs and factor with other targets.
 
         Skips the O(M^3) factorization: the result has the same bits as
-        ``from_data`` on the same inputs. The buffers are copied, because
-        ``add_point`` writes them in place.
+        ``from_data`` on the same inputs. Both models hold the same input
+        and factor buffers, marked read-only so that a stray write raises;
+        ``add_point`` on either copies them first.
         """
         ys = np.asarray(outputs, dtype=float)
         m = self._m
         if ys.shape != (m,):
             raise InvalidParam(f"expected {m} outputs, got shape {ys.shape}")
+        self._x.flags.writeable = self._chol.flags.writeable = False
         model = GpModel(self.kernel, self.noise_std, self.max_points)
-        model._x = self._x.copy()
+        model._x = self._x
         model._y = np.zeros_like(self._y)
         model._y[:m] = ys
-        model._chol = self._chol.copy()
+        model._chol = self._chol
         model._alpha = np.zeros_like(self._alpha)
         model._m = m
         model._refresh_alpha()
@@ -151,25 +154,14 @@ class GpModel:
     def outputs(self) -> NDArray:
         return self._y[: self._m].copy()
 
-    def _same_inputs(self, other: "GpModel") -> bool:
-        """Whether other has equal kernel and inputs: the same grid kernel matrix."""
-        m = self._m
-        return (
-            self.kernel == other.kernel
-            and m == other._m
-            and np.array_equal(self._x[:m], other._x[:m])
-        )
-
     def same_factor(self, other: "GpModel") -> bool:
-        """Whether other has equal kernel, inputs and Cholesky factor.
+        """Whether other holds this model's factor buffer, by ``with_outputs``.
 
-        Those three fix the posterior sigma at every query point; only
-        the targets, and so the mean, may differ.
+        Any write copies the buffer first, so sharing it means the same
+        kernel, noise, inputs and factor: the posterior sigma is the same
+        at every query point; only the targets, and so the mean, may differ.
         """
-        m = self._m
-        return self._same_inputs(other) and np.array_equal(
-            self._chol[:m, :m], other._chol[:m, :m]
-        )
+        return self._chol is other._chol
 
     # -- queries ------------------------------------------------------
 
@@ -199,15 +191,16 @@ class GpModel:
         """Vectorized posterior over a query grid; returns (mu, sigma) arrays.
 
         ``_kq`` is the kernel matrix of this model's inputs against xs when
-        the caller already holds it (``_grid_posteriors`` shares one between
-        models on the same inputs); it gives the same bits as building it.
+        the caller already holds it (the end-of-run gamma check shares one
+        between models on the same factor); it gives the same bits as
+        building it.
         """
         q = np.asarray(xs, dtype=float)
         if self._m == 0:
             return np.zeros_like(q), np.full_like(q, self.kernel.sigma_f)
         m = self._m
         kq = _kernel_matrix(self.kernel, self._x[:m], q) if _kq is None else _kq
-        mu = kq.T @ self._alpha[:m]
+        mu = _grid_mean(self, kq)
         v = self._solve_lower(kq)
         var = self.kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v)
         bad = var < -NEG_VAR_TOL
@@ -272,7 +265,8 @@ class GpModel:
 
     def _ensure_capacity(self, needed: int) -> None:
         cap = self._x.size
-        if needed <= cap:
+        # a read-only buffer is shared by with_outputs: copy it even with room
+        if needed <= cap and self._chol.flags.writeable:
             return
         new_cap = max(needed, min(2 * cap, self.max_points))
         grown_x = np.zeros(new_cap)
@@ -299,71 +293,54 @@ _PROBE_POINTS = 16
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-class GridPosterior:
-    """One model's posterior on a query grid, as ``_grid_posteriors`` yields it.
+def _grid_mean(model: GpModel, kq: NDArray) -> NDArray:
+    """The posterior mean on a grid, from the kernel matrix kq of the model's
+    inputs against it: the bits of ``posterior_grid``'s mean, with no solve."""
+    return kq.T @ model._alpha[: model._m]
 
-    ``mu`` is the model's own mean, with the bits of ``posterior_grid``.
-    ``sigma()`` is the std on the whole grid, solved by ``posterior_grid``
-    once per distinct factor of the walk. ``sigma_upper()`` bounds its
-    minimum from a few grid points. It is valid until the walk moves on.
+
+def _sigma_upper(model: GpModel, q: NDArray, kq: NDArray) -> float | None:
+    """A float at or above the smallest sigma of ``posterior_grid(q, _kq=kq)``.
+
+    kq is the kernel matrix of the model's inputs against the ascending
+    grid q. sigma is solved at the at most _PROBE_POINTS grid points
+    nearest the model's inputs where those are densest, by
+    ``posterior_grid`` on those columns of kq, so a negative variance there
+    still raises. None for an empty model, or when the margin below leaves
+    its first-order regime.
+
+    The margin covers the full solve rounding differently from the
+    probe, as dtrtrs on thousands of right-hand sides may block
+    differently from dtrtrs on 16. Substitution in any order is
+    componentwise backward stable (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Thm 8.5): each solve is exact for a
+    factor L + dL with |dL| <= m u |L|, so it is the exact posterior for
+    the Gram matrix L L^T + E with |E| <= 2 m u |L| |L|^T. By
+    Cauchy-Schwarz on the rows of L, whose squared norms are the Gram
+    diagonal, that is at most 2 m u d entrywise, d = sigma_f^2 +
+    sigma_n^2 + the largest jitter, so ||E||_2 <= 2 m^2 u d. To first
+    order the variance moves by h^T E h with h = (L L^T)^-1 k, and
+    sigma_n^2 |h|^2 <= sigma^2 (the noise share of the posterior
+    variance), so every computed variance lies within rel * sigma^2 of
+    the exact one, rel = 2 m^2 u d / sigma_n^2, plus m u sigma_f^2 from
+    summing the squares. For rel <= 1/4 the full solve's sigma at a probe
+    point is then below (1 + 2 rel) sigma_probe + 2 sigma_f sqrt(m u),
+    and the slack between the two covers rounding this bound itself.
     """
-
-    def __init__(self, model: GpModel, q: NDArray, kq: NDArray, solved: list):
-        self._model = model
-        self.mu = kq.T @ model._alpha[: model._m]
-        self._q = q
-        self._kq = kq
-        self._solved = solved  # (model, sigma) per factor solved in this walk
-        self._sigma = next((s for other, s in solved if model.same_factor(other)), None)
-
-    def sigma(self) -> NDArray:
-        if self._sigma is None:
-            _, self._sigma = self._model.posterior_grid(self._q, _kq=self._kq)
-            self._solved.append((self._model, self._sigma))
-        return self._sigma
-
-    def sigma_upper(self) -> float | None:
-        """A float at or above min(``sigma()``), from at most _PROBE_POINTS points.
-
-        sigma is solved at the grid points nearest the model's inputs where
-        those are densest, by ``posterior_grid`` on the shared kernel
-        columns, so a negative variance there still raises. None for an
-        empty model, when this factor's full sigma is already known, or
-        when the margin below leaves its first-order regime.
-
-        The margin covers the full solve rounding differently from the
-        probe, as dtrtrs on thousands of right-hand sides may block
-        differently from dtrtrs on 16. Substitution in any order is
-        componentwise backward stable (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, 2nd ed., Thm 8.5): each solve is exact for a
-        factor L + dL with |dL| <= m u |L|, so it is the exact posterior for
-        the Gram matrix L L^T + E with |E| <= 2 m u |L| |L|^T. By
-        Cauchy-Schwarz on the rows of L, whose squared norms are the Gram
-        diagonal, that is at most 2 m u d entrywise, d = sigma_f^2 +
-        sigma_n^2 + the largest jitter, so ||E||_2 <= 2 m^2 u d. To first
-        order the variance moves by h^T E h with h = (L L^T)^-1 k, and
-        sigma_n^2 |h|^2 <= sigma^2 (the noise share of the posterior
-        variance), so every computed variance lies within rel * sigma^2 of
-        the exact one, rel = 2 m^2 u d / sigma_n^2, plus m u sigma_f^2 from
-        summing the squares. For rel <= 1/4 the full solve's sigma at a probe
-        point is then below (1 + 2 rel) sigma_probe + 2 sigma_f sqrt(m u),
-        and the slack between the two covers rounding this bound itself.
-        """
-        model = self._model
-        m = model._m
-        if m == 0 or self._sigma is not None:
-            return None
-        sigma_f = model.kernel.sigma_f
-        noise_var = model.noise_std**2
-        d = sigma_f**2 + noise_var + JITTER_LADDER[-1]
-        rel = 2.0 * m * m * _UNIT_ROUNDOFF * d / noise_var
-        if rel > 0.25:
-            return None
-        cols = _probe_columns(model, self._q)
-        _, sigma = model.posterior_grid(self._q[cols], _kq=self._kq[:, cols])
-        return float(np.min(sigma)) * (1.0 + 2.0 * rel) + 2.0 * sigma_f * math.sqrt(
-            m * _UNIT_ROUNDOFF
-        )
+    m = model._m
+    if m == 0:
+        return None
+    sigma_f = model.kernel.sigma_f
+    noise_var = model.noise_std**2
+    d = sigma_f**2 + noise_var + JITTER_LADDER[-1]
+    rel = 2.0 * m * m * _UNIT_ROUNDOFF * d / noise_var
+    if rel > 0.25:
+        return None
+    cols = _probe_columns(model, q)
+    _, sigma = model.posterior_grid(q[cols], _kq=kq[:, cols])
+    return float(np.min(sigma)) * (1.0 + 2.0 * rel) + 2.0 * sigma_f * math.sqrt(
+        m * _UNIT_ROUNDOFF
+    )
 
 
 def _probe_columns(model: GpModel, q: NDArray) -> NDArray:
@@ -380,33 +357,6 @@ def _probe_columns(model: GpModel, q: NDArray) -> NDArray:
     ell = model.kernel.length_scale
     near = np.searchsorted(xs, q[cols] + ell, "right") - np.searchsorted(xs, q[cols] - ell)
     return cols[np.argsort(-near, kind="stable")[:_PROBE_POINTS]]
-
-
-def _grid_posteriors(models, xs) -> Iterator[GridPosterior]:
-    """The ``GridPosterior`` of each model over a query grid, in model order, lazily.
-
-    Consecutive models on the same inputs share one kernel matrix, and the
-    full-grid sigma is solved at most once per distinct factor; every
-    model's mean is its own. The bits are those of ``posterior_grid`` on
-    each model. Only the current kernel matrix is held: moving on drops
-    the previous one, the previous posterior's reference included, and a
-    caller that stops early builds none for the models it skips.
-    """
-    q = np.asarray(xs, dtype=float)
-    solved: list[tuple[GpModel, NDArray]] = []
-    basis: GpModel | None = None  # the model whose inputs built kq
-    kq = None
-    post: GridPosterior | None = None
-    for model in models:
-        if basis is None or not model._same_inputs(basis):
-            # drop the old matrix, the previous posterior's reference to it
-            # too, before building the next
-            kq = None
-            if post is not None:
-                post._kq = None
-            basis, kq = model, _kernel_matrix(model.kernel, model._x[: model._m], q)
-        post = GridPosterior(model, q, kq, solved)
-        yield post
 
 
 def _clamp_var(var: float) -> float:

@@ -377,24 +377,44 @@ class TestWithOutputs:
         for got, want in zip(shared.posterior_grid(grid), direct.posterior_grid(grid)):
             assert np.array_equal(got, want)
 
-    def test_add_point_leaves_the_other_model_unchanged(self):
-        xs, ys_a, ys_b = self.make_pair(m=64)  # full buffer: the next point regrows it
+    @pytest.mark.parametrize("m", [64, 10])  # a full buffer, and one with room
+    @pytest.mark.parametrize("writer", ["sharer", "base"])
+    def test_add_point_leaves_the_other_model_unchanged(self, m, writer):
+        xs, ys_a, ys_b = self.make_pair(m=m)
         base = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_a)
         shared = base.with_outputs(ys_b)
-        before = (base.inputs, base.outputs, chol(base), base.posterior(0.123))
-        shared.add_point(0.123, 4.0)
-        shared.add_point(-0.456, -4.0)
-        assert shared.size == 66 and base.size == 64
-        after = (base.inputs, base.outputs, chol(base), base.posterior(0.123))
-        for got, want in zip(after[:3], before[:3]):
-            assert np.array_equal(got, want)
-        assert after[3] == before[3]
-        fresh = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_b)
-        base.add_point(0.9, 1.0)
-        assert shared.posterior(0.9) != fresh.posterior(0.9)
+        updated, other = (shared, base) if writer == "sharer" else (base, shared)
+        own_ys = ys_b if writer == "sharer" else ys_a
+
+        def bits(model):
+            return (model.inputs, chol(model), *model.posterior_grid(xs))
+
+        before = bits(other)
+        updated.add_point(0.123, 4.0)
+        updated.add_point(-0.456, -4.0)
+        assert updated.size == m + 2 and other.size == m
+        assert not np.shares_memory(updated._chol, other._chol)
+        assert not np.shares_memory(updated._x, other._x)
+        for got, want in zip(bits(other), before):
+            assert got.tobytes() == want.tobytes()
+        # the copied model carries on as if it had been built on its own
+        fresh = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, own_ys)
         fresh.add_point(0.123, 4.0)
         fresh.add_point(-0.456, -4.0)
-        assert shared.posterior(0.9) == fresh.posterior(0.9)
+        for got, want in zip(bits(updated), bits(fresh)):
+            assert got.tobytes() == want.tobytes()
+        other.add_point(0.9, 1.0)
+        assert updated.posterior(0.9) == fresh.posterior(0.9)
+
+    def test_shared_buffers_are_read_only(self):
+        xs, ys_a, ys_b = self.make_pair(m=10)
+        base = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_a)
+        shared = base.with_outputs(ys_b)
+        for model in (base, shared):
+            with pytest.raises(ValueError, match="read-only"):
+                model._chol[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                model._x[0] = 1.0
 
     def test_empty_model(self):
         empty = GpModel(BENCH_KERNEL, NOISE_STD).with_outputs([])
@@ -413,20 +433,17 @@ class TestWithOutputs:
         xs, ys_a, ys_b = self.make_pair(m=30)
         base = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_a)
         shared = base.with_outputs(ys_b)
+        again = shared.with_outputs(ys_a)
         assert base.same_factor(shared) and shared.same_factor(base)
-        assert GpModel(BENCH_KERNEL, NOISE_STD).same_factor(GpModel(BENCH_KERNEL, 0.5))
-        shifted = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs + 1e-9, ys_a)
-        assert not base.same_factor(shifted)
-        noisier = GpModel.from_data(BENCH_KERNEL, 2 * NOISE_STD, xs, ys_a)
-        assert not base.same_factor(noisier)
-        wider = GpModel.from_data(KernelParams(2.0, 0.05), NOISE_STD, xs, ys_a)
-        assert not base.same_factor(wider)
-        # equal inputs and factor, another kernel: sigma still differs
-        relabelled = base.with_outputs(ys_a)
-        relabelled.kernel = KernelParams(2.0, 0.05)
-        assert not base.same_factor(relabelled)
+        assert again.same_factor(base)
+        # equal bits are not enough: sharing is by construction
+        direct = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys_b)
+        assert np.array_equal(chol(direct), chol(base))
+        assert not base.same_factor(direct)
+        assert not GpModel(BENCH_KERNEL, NOISE_STD).same_factor(GpModel(BENCH_KERNEL, NOISE_STD))
         shared.add_point(0.0, 1.0)
-        assert not base.same_factor(shared)
+        assert not base.same_factor(shared) and not shared.same_factor(again)
+        assert base.same_factor(again)
 
 
 class TestNumericalGuards:

@@ -265,18 +265,23 @@ def gp_models(draw, kernel, noise):
 )
 def test_gamma_check_equals_every_model_oracle(data, length_scale, noise, lip_f):
     # shared factors come from with_outputs on the previous model, so the
-    # walk reuses a full-grid sigma or probes a fresh factor, and the
-    # probe's proof of failure must never change the verdict; lip_f sweeps
-    # gamma across the probed sigma, near ties included
+    # check reuses a full-grid sigma or probes a fresh factor, and the
+    # probe's proof of failure must never change the verdict; an add_point
+    # on the new model or on the one it shares with ends the sharing; lip_f
+    # sweeps gamma across the probed sigma, near ties included
     run = replace(GAMMA_RUN, bound=replace(GAMMA_RUN.bound, lip_f=lip_f))
     kernel = KernelParams(sigma_f=1.0, length_scale=length_scale)
     models = []
     for _ in range(data.draw(st.integers(1, 4))):
-        if models and data.draw(st.booleans()):
-            m = models[-1].size
-            ys = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
-            models.append(models[-1].with_outputs(ys))
-        else:
+        kind = data.draw(st.sampled_from(("own", "shared", "updated"))) if models else "own"
+        if kind == "own":
             models.append(data.draw(gp_models(kernel, noise)))
+            continue
+        m = models[-1].size
+        ys = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+        models.append(models[-1].with_outputs(ys))
+        if kind == "updated":
+            writer = models[data.draw(st.sampled_from((-1, -2)))]
+            writer.add_point(data.draw(st.floats(-1.5, 1.5)), data.draw(st.floats(-2.0, 2.0)))
     expected = gamma_ok_every_model(run.bound, models, GAMMA_GRID)
     assert _check_gamma(run, models, GAMMA_GRID) is expected
