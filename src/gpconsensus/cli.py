@@ -104,6 +104,8 @@ def cmd_montecarlo(args) -> int:
     for c in cases:
         if c not in CASE_IDS:
             raise ConfigError(f"unknown case {c!r}; expected subset of {CASE_IDS}")
+    if len(set(cases)) != len(cases):
+        raise ConfigError(f"--cases lists a case more than once: {args.cases!r}")
     if args.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     if args.jobs < 1:

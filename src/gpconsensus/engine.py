@@ -36,12 +36,11 @@ from .gp import (
     GpModel,
     KernelParams,
     _grid_mean,
-    _kernel_matrix,
+    _kernel,
     _sigma_upper,
     check_gamma_condition,
     domain_grid,
     estimate_lipschitz,
-    lipschitz_estimate,
     make_bound_context,
 )
 from .plants import PlantSpec, drift, estimate_lip_f, make_plant, measure
@@ -418,37 +417,34 @@ def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
 
     Models are checked in agent order, and the check stops at the first
     failure. Consecutive models on one factor (``GpModel.same_factor``)
-    share one grid kernel matrix and one sigma solve; each model's mean,
-    and so its lip_mu, is still its own. Only one kernel matrix is held:
-    the previous one is dropped before the next is built.
+    share one grid kernel matrix, one sigma solve and so one lip_sigma;
+    each model's mean, and so its lip_mu, is still its own. Only one
+    kernel matrix is held: the previous one is dropped before the next is
+    built.
 
     Before a factor's full-grid sigma is solved, a failure is proven where
-    it can be: gamma without its sqrt(beta) lip_sigma term, (lip_f +
-    lip_mu) tau, is no larger than gamma in floating point too, and
-    ``gp._sigma_upper`` is at or above the smallest sigma the full solve
-    would give. When the first exceeds sqrt(beta) times the second, the
-    full check would fail, and the O(M^2) solve per grid point is skipped.
-    Otherwise the full check decides. The verdict is the same either way;
-    only a negative variance elsewhere on the grid of a model so proven to
-    fail is no longer raised.
+    it can be: ``check_gamma_condition`` with lip_sigma = 0 has no larger
+    gamma, in floating point too, and ``gp._sigma_upper`` is at or above
+    the smallest sigma the full solve would give. When that check fails,
+    the full check would fail, and the O(M^2) solve per grid point is
+    skipped. Otherwise the full check decides. The verdict is the same
+    either way; only a negative variance elsewhere on the grid of a model
+    so proven to fail is no longer raised.
     """
     bound = run.bound
-    factor = kq = sigma = None
+    factor = kq = lip_sigma = sigma_min = None
     for model in models:
         if factor is None or not model.same_factor(factor):
-            factor, kq, sigma = model, None, None
-            kq = _kernel_matrix(model.kernel, model.inputs, grid)
-        mu = _grid_mean(model, kq)
-        if sigma is None:
+            factor, kq, sigma_min = model, None, None
+            kq = _kernel(model.kernel, model.inputs, grid)
+        lip_mu = estimate_lipschitz(grid, _grid_mean(model, kq))
+        if sigma_min is None:
             sigma_up = _sigma_upper(model, grid, kq)
-            if sigma_up is not None:
-                gamma_lo = (bound.lip_f + lipschitz_estimate(grid, mu)) * bound.tau
-                if gamma_lo > run.root_beta * sigma_up:
-                    return False
+            if sigma_up is not None and not check_gamma_condition(bound, lip_mu, 0.0, sigma_up):
+                return False
             _, sigma = model.posterior_grid(grid, _kq=kq)
-        lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
-        ctx = replace(bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
-        if not check_gamma_condition(ctx, sigma):
+            lip_sigma, sigma_min = estimate_lipschitz(grid, sigma), float(np.min(sigma))
+        if not check_gamma_condition(bound, lip_mu, lip_sigma, sigma_min):
             return False
     return True
 
@@ -646,6 +642,8 @@ def run_monte_carlo(
         raise GpConsensusError(f"n_runs must be >= 1, got {n_runs}")
     if jobs < 1:
         raise GpConsensusError(f"jobs must be >= 1, got {jobs}")
+    if len(set(cases)) != len(cases):
+        raise GpConsensusError(f"cases must not repeat, got {cases}")
     tasks = [
         (_mc_config(base_config, case, k, base_config.seed), case, k)
         for case in cases

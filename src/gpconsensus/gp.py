@@ -7,10 +7,11 @@ extended one row at a time when online points arrive, so a trigger costs
 O(M^2) instead of a full O(M^3) refactorization. Every triangular solve,
 the back-solve for the weights included, is one LAPACK call on the live
 factor buffer: no solve copies the factor, and the results do not depend
-on the buffer's spare capacity. The module also houses
-the high-probability uniform error bound machinery: the confidence
-scaling beta, the pointwise bound 2*sqrt(beta)*sigma(x), and the grid
-checks for the Lipschitz-based validity condition.
+on the buffer's spare capacity. One function, ``_kernel``, evaluates the
+kernel for every query, update and grid, in place in its result. The
+module also houses the high-probability uniform error bound machinery:
+the confidence scaling beta, the grid slope estimate, and the one
+expression of the Lipschitz-based validity (gamma) condition.
 """
 
 from __future__ import annotations
@@ -48,24 +49,29 @@ class KernelParams:
             raise InvalidParam(f"length_scale must be > 0, got {self.length_scale}")
 
 
-def _kernel_vec(params: KernelParams, xs: NDArray, x: float) -> NDArray:
-    d = xs - x
-    return params.sigma_f**2 * np.exp(-(d * d) / (2.0 * params.length_scale**2))
+def _kernel(params: KernelParams, xs: NDArray, q: float | NDArray) -> NDArray:
+    """Kernel values k(xs[i], q): shape (m,) for a scalar q, (m, n) for an array.
 
-
-def _kernel_matrix(params: KernelParams, xs: NDArray, q: NDArray) -> NDArray:
-    """Kernel values k(xs[i], q[j]) as a (len(xs), len(q)) array."""
-    diff = xs[:, None] - q[None, :]
-    return params.sigma_f**2 * np.exp(-(diff * diff) / (2.0 * params.length_scale**2))
+    Built in place in the array of differences, so the result is the only
+    array of its size allocated.
+    """
+    d = np.subtract.outer(xs, q)
+    np.square(d, out=d)
+    np.negative(d, out=d)
+    np.divide(d, 2.0 * params.length_scale**2, out=d)
+    np.exp(d, out=d)
+    np.multiply(d, params.sigma_f**2, out=d)
+    return d
 
 
 class GpModel:
     """Mutable exact-GP dataset with a growing Cholesky factor.
 
-    Single-writer: one agent appends between control steps. Buffers are
-    capacity-doubled up to max_points; the weight vector alpha solving
-    (K + sigma_n^2 I) alpha = y is cached and refreshed on append, which
-    makes mean queries O(M) and variance queries one triangular solve.
+    Single-writer: one agent appends between control steps. The input,
+    target and factor buffers are capacity-doubled up to max_points; the
+    weight vector alpha solving (K + sigma_n^2 I) alpha = y is exact-size
+    and replaced whole on append, which makes mean queries O(M) and
+    variance queries one triangular solve.
     Models made by ``with_outputs`` hold the input and factor buffers by
     reference, read-only; ``add_point`` copies them before its first write.
     """
@@ -82,7 +88,7 @@ class GpModel:
         self._x = np.zeros(cap)
         self._y = np.zeros(cap)
         self._chol = np.zeros((cap, cap))
-        self._alpha = np.zeros(cap)
+        self._alpha = np.zeros(0)
         self._m = 0
 
     # -- construction -------------------------------------------------
@@ -108,7 +114,7 @@ class GpModel:
         if m > model.max_points:
             raise CapacityExceeded(f"{m} offline points exceed cap {model.max_points}")
         model._ensure_capacity(m)
-        gram = _kernel_matrix(kernel, xs, xs)
+        gram = _kernel(kernel, xs, xs)
         gram[np.diag_indices(m)] += noise_std**2
         model._chol[:m, :m] = _cholesky_with_jitter(gram)
         model._x[:m] = xs
@@ -135,7 +141,6 @@ class GpModel:
         model._y = np.zeros_like(self._y)
         model._y[:m] = ys
         model._chol = self._chol
-        model._alpha = np.zeros_like(self._alpha)
         model._m = m
         model._refresh_alpha()
         return model
@@ -173,16 +178,16 @@ class GpModel:
         if self._m == 0:
             return 0.0
         m = self._m
-        k = _kernel_vec(self.kernel, self._x[:m], x)
-        return float(k @ self._alpha[:m])
+        k = _kernel(self.kernel, self._x[:m], x)
+        return float(k @ self._alpha)
 
     def posterior(self, x: float) -> tuple[float, float]:
         """Posterior mean and standard deviation at a scalar query point."""
         if self._m == 0:
             return 0.0, self.kernel.sigma_f
         m = self._m
-        k = _kernel_vec(self.kernel, self._x[:m], x)
-        mu = float(k @ self._alpha[:m])
+        k = _kernel(self.kernel, self._x[:m], x)
+        mu = float(k @ self._alpha)
         v = self._solve_lower(k)
         var = self.kernel.sigma_f**2 - float(v @ v)
         return mu, math.sqrt(_clamp_var(var))
@@ -199,7 +204,7 @@ class GpModel:
         if self._m == 0:
             return np.zeros_like(q), np.full_like(q, self.kernel.sigma_f)
         m = self._m
-        kq = _kernel_matrix(self.kernel, self._x[:m], q) if _kq is None else _kq
+        kq = _kernel(self.kernel, self._x[:m], q) if _kq is None else _kq
         mu = _grid_mean(self, kq)
         v = self._solve_lower(kq)
         var = self.kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v)
@@ -222,7 +227,7 @@ class GpModel:
         if m == 0:
             self._chol[0, 0] = math.sqrt(kxx)
         else:
-            k = _kernel_vec(self.kernel, self._x[:m], x)
+            k = _kernel(self.kernel, self._x[:m], x)
             c = self._solve_lower(k)
             d2 = kxx - float(c @ c)
             if d2 <= 0.0:
@@ -261,7 +266,7 @@ class GpModel:
     def _refresh_alpha(self) -> None:
         m = self._m
         z = self._solve_lower(self._y[:m])
-        self._alpha[:m] = self._solve_lower(z, transposed=True)
+        self._alpha = self._solve_lower(z, transposed=True)
 
     def _ensure_capacity(self, needed: int) -> None:
         cap = self._x.size
@@ -272,18 +277,11 @@ class GpModel:
         grown_x = np.zeros(new_cap)
         grown_y = np.zeros(new_cap)
         grown_chol = np.zeros((new_cap, new_cap))
-        grown_alpha = np.zeros(new_cap)
         m = self._m
         grown_x[:m] = self._x[:m]
         grown_y[:m] = self._y[:m]
         grown_chol[:m, :m] = self._chol[:m, :m]
-        grown_alpha[:m] = self._alpha[:m]
-        self._x, self._y, self._chol, self._alpha = (
-            grown_x,
-            grown_y,
-            grown_chol,
-            grown_alpha,
-        )
+        self._x, self._y, self._chol = grown_x, grown_y, grown_chol
 
 
 # grid points whose sigma is solved before the end-of-run grid solve
@@ -296,7 +294,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 def _grid_mean(model: GpModel, kq: NDArray) -> NDArray:
     """The posterior mean on a grid, from the kernel matrix kq of the model's
     inputs against it: the bits of ``posterior_grid``'s mean, with no solve."""
-    return kq.T @ model._alpha[: model._m]
+    return kq.T @ model._alpha
 
 
 def _sigma_upper(model: GpModel, q: NDArray, kq: NDArray) -> float | None:
@@ -413,8 +411,6 @@ class BoundContext:
     beta: float
     eta_bar_lower: float
     lip_f: float
-    lip_mu: float
-    lip_sigma: float
     domain_lo: float
     domain_hi: float
 
@@ -427,9 +423,8 @@ class BoundContext:
             )
         if not (self.eta_bar_lower > 0.0):
             raise InvalidParam(f"eta_bar_lower must be > 0, got {self.eta_bar_lower}")
-        for name in ("lip_f", "lip_mu", "lip_sigma"):
-            if getattr(self, name) < 0.0:
-                raise InvalidParam(f"{name} must be >= 0")
+        if self.lip_f < 0.0:
+            raise InvalidParam("lip_f must be >= 0")
 
 
 def make_bound_context(
@@ -439,8 +434,6 @@ def make_bound_context(
     domain_hi: float,
     noise_std: float,
     lip_f: float,
-    lip_mu: float = 0.0,
-    lip_sigma: float = 0.0,
 ) -> BoundContext:
     """Build a BoundContext, deriving beta and the post-update floor."""
     if not (noise_std > 0.0):
@@ -452,8 +445,6 @@ def make_bound_context(
         beta=beta,
         eta_bar_lower=2.0 * math.sqrt(beta) * noise_std,
         lip_f=lip_f,
-        lip_mu=lip_mu,
-        lip_sigma=lip_sigma,
         domain_lo=domain_lo,
         domain_hi=domain_hi,
     )
@@ -469,7 +460,7 @@ def domain_grid(domain_lo: float, domain_hi: float, grid_step: float) -> NDArray
     return np.linspace(domain_lo, domain_hi, n)
 
 
-def lipschitz_estimate(grid: NDArray, values: NDArray) -> float:
+def estimate_lipschitz(grid: NDArray, values: NDArray) -> float:
     """The grid estimate of the slope of values on a uniform grid.
 
     The max absolute finite-difference slope, inflated by a 1.1 safety
@@ -479,20 +470,18 @@ def lipschitz_estimate(grid: NDArray, values: NDArray) -> float:
     return 1.1 * (float(np.max(np.abs(np.diff(values)))) / h)
 
 
-def estimate_lipschitz(grid: NDArray, mu: NDArray, sigma: NDArray) -> tuple[float, float]:
-    """``lipschitz_estimate`` of the posterior mean and std on a uniform grid."""
-    return lipschitz_estimate(grid, mu), lipschitz_estimate(grid, sigma)
-
-
-def check_gamma_condition(ctx: BoundContext, sigma: NDArray) -> bool:
+def check_gamma_condition(
+    ctx: BoundContext, lip_mu: float, lip_sigma: float, sigma_min: float
+) -> bool:
     """Whether the covering-argument slack fits under the variance floor.
 
     gamma = (lip_f + lip_mu + sqrt(beta) lip_sigma) * tau must not exceed
-    min over the domain grid of sqrt(beta) * sigma(x), where sigma is the
-    posterior std on that grid. A violation means tau was chosen too
+    sqrt(beta) * sigma_min, where lip_mu and lip_sigma are the slopes of
+    one model's posterior mean and std on the domain grid and sigma_min
+    is the smallest std there. A violation means tau was chosen too
     coarse for how sharp the posterior has become; the caller logs it but
     does not abort.
     """
     root_beta = math.sqrt(ctx.beta)
-    gamma = (ctx.lip_f + ctx.lip_mu + root_beta * ctx.lip_sigma) * ctx.tau
-    return gamma <= root_beta * float(np.min(sigma))
+    gamma = (ctx.lip_f + lip_mu + root_beta * lip_sigma) * ctx.tau
+    return gamma <= root_beta * sigma_min

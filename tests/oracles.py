@@ -7,7 +7,6 @@ sides must not share numerics.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -161,9 +160,8 @@ def gamma_ok_every_model(bound, models, grid):
     verdicts = []
     for model in models:
         mu, sigma = model.posterior_grid(grid)
-        lip_mu, lip_sigma = estimate_lipschitz(grid, mu, sigma)
-        ctx = replace(bound, lip_mu=lip_mu, lip_sigma=lip_sigma)
-        verdicts.append(check_gamma_condition(ctx, sigma))
+        lip_mu, lip_sigma = estimate_lipschitz(grid, mu), estimate_lipschitz(grid, sigma)
+        verdicts.append(check_gamma_condition(bound, lip_mu, lip_sigma, float(np.min(sigma))))
     return all(verdicts)
 
 
@@ -192,6 +190,24 @@ def kernel_eval(params, x, x2):
     return params.sigma_f**2 * math.exp(-(d * d) / (2.0 * params.length_scale**2))
 
 
+def kernel_vec_reference(params, xs, x):
+    """Kernel values k(xs[i], x) for a scalar x, in temporaries.
+
+    The package's former ``gp._kernel_vec``: ``gp._kernel`` must give its bits.
+    """
+    d = xs - x
+    return params.sigma_f**2 * np.exp(-(d * d) / (2.0 * params.length_scale**2))
+
+
+def kernel_matrix_reference(params, xs, q):
+    """Kernel values k(xs[i], q[j]) as a (len(xs), len(q)) array, in temporaries.
+
+    The package's former ``gp._kernel_matrix``: ``gp._kernel`` must give its bits.
+    """
+    diff = xs[:, None] - q[None, :]
+    return params.sigma_f**2 * np.exp(-(diff * diff) / (2.0 * params.length_scale**2))
+
+
 def chol(model):
     """Copy of the lower Cholesky factor of (K + sigma_n^2 I) for the current data."""
     m = model.size
@@ -208,10 +224,7 @@ def mean_grid(model, xs):
     m = model.size
     if m == 0:
         return np.zeros_like(q)
-    diff = model._x[:m][:, None] - q[None, :]
-    kern = model.kernel
-    kq = kern.sigma_f**2 * np.exp(-(diff * diff) / (2.0 * kern.length_scale**2))
-    return kq.T @ model._alpha[:m]
+    return kernel_matrix_reference(model.kernel, model._x[:m], q).T @ model._alpha
 
 
 def error_bound(model, ctx, x):

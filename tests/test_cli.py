@@ -251,6 +251,18 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", cfg, "--cases", "a,z"]) == 1
         assert "unknown case 'z'" in capsys.readouterr().err
 
+    def test_repeated_case_rejected(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started with a repeated case")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
+        cfg = write_config(tmp_path, "t_end = 0.02\n")
+        out_dir = tmp_path / "mc"
+        argv = ["montecarlo", "--config", cfg, "--cases", "a,a", "--runs", "2"]
+        assert main(argv + ["--out", str(out_dir)]) == 1
+        assert "--cases lists a case more than once: 'a,a'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_empty_case_list_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t_end = 0.1\n")
         assert main(["montecarlo", "--config", cfg, "--cases", " , "]) == 1

@@ -401,6 +401,16 @@ class TestDomainEscape:
         assert "case=c seed=3" in rec.message
 
 
+def peak_bytes(fn) -> int:
+    """The tracemalloc peak of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def count_grid_solves(monkeypatch, counts):
     """Count ``posterior_grid`` calls into counts: a probe of at most
     ``gp._PROBE_POINTS`` points as "probe", a full-grid solve as "grid"."""
@@ -472,14 +482,14 @@ class TestGammaCheck:
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {"grid": 0, "probe": 0, "kernel_matrix": 0}
-        kernel_matrix = engine._kernel_matrix
+        kernel = engine._kernel
 
-        def counting_kernel_matrix(*args):
+        def counting_kernel(*args):
             counts["kernel_matrix"] += 1
-            return kernel_matrix(*args)
+            return kernel(*args)
 
         count_grid_solves(monkeypatch, counts)
-        monkeypatch.setattr(engine, "_kernel_matrix", counting_kernel_matrix)
+        monkeypatch.setattr(engine, "_kernel", counting_kernel)
         return counts
 
     @pytest.fixture
@@ -538,8 +548,8 @@ class TestGammaCheck:
         # full solve does
         run, grid = run_and_grid
         model = self.model(15)  # flat targets: lip_mu = 0
-        kq = gp._kernel_matrix(model.kernel, model.inputs, grid)
-        assert gp.lipschitz_estimate(grid, gp._grid_mean(model, kq)) == 0.0
+        kq = gp._kernel(model.kernel, model.inputs, grid)
+        assert gp.estimate_lipschitz(grid, gp._grid_mean(model, kq)) == 0.0
         upper = gp._sigma_upper(model, grid, kq)
         cols = gp._probe_columns(model, grid)
         probe_min = float(model.posterior_grid(grid[cols])[1].min())
@@ -552,6 +562,41 @@ class TestGammaCheck:
         assert engine._check_gamma(tied, [model], grid) is False
         assert (calls["probe"], calls["grid"]) == (1, 1)
         assert gamma_ok_every_model(tied.bound, [model], grid) is False
+
+    def test_proven_failure_checks_gamma_once_without_sigma_slope(
+        self, monkeypatch, calls, run_and_grid
+    ):
+        run, grid = run_and_grid
+        model = self.model(7, amplitude=100.0)
+        kq = gp._kernel(model.kernel, model.inputs, grid)
+        lip_mu = gp.estimate_lipschitz(grid, gp._grid_mean(model, kq))
+        upper = gp._sigma_upper(model, grid, kq)
+        seen = []
+        check = engine.check_gamma_condition
+
+        def recording(*args):
+            seen.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(engine, "check_gamma_condition", recording)
+        calls.update(grid=0, probe=0)
+        assert engine._check_gamma(run, [model], grid) is False
+        assert seen == [(run.bound, lip_mu, 0.0, upper)]
+        assert (calls["probe"], calls["grid"]) == (1, 0)
+
+    def test_proven_dense_failure_holds_one_kernel_matrix(self, calls):
+        # the offline-dense benchmark's 1000-point factor, shared by four
+        # agents: the check peaks at its one in-place kernel matrix
+        cfg = dataclasses.replace(case_preset("c"), offline_dataset_size=1000)
+        run = prepare_run(cfg)
+        models = init_state(run, SplitMix64(0)).models
+        grid = domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)
+        calls.update(grid=0, probe=0)
+        verdicts = []
+        peak = peak_bytes(lambda: verdicts.append(engine._check_gamma(run, models, grid)))
+        assert verdicts == [False]
+        assert (calls["probe"], calls["grid"]) == (1, 0)
+        assert peak <= 1.1 * 1000 * grid.size * 8
 
     def test_negative_probe_variance_raises(self, calls, run_and_grid):
         # shrinking the factor inflates L^-1 k, so sigma_f^2 - |L^-1 k|^2
@@ -573,20 +618,25 @@ class TestGammaCheck:
         seen = []
         estimate_lipschitz = engine.estimate_lipschitz
 
-        def recording(grid, mu, sigma):
-            seen.append((mu, sigma))
-            return estimate_lipschitz(grid, mu, sigma)
+        def recording(grid, values):
+            seen.append(values)
+            return estimate_lipschitz(grid, values)
 
         monkeypatch.setattr(engine, "estimate_lipschitz", recording)
         for models in (shared, distinct, [GpModel(self.KERNEL, self.NOISE)] + distinct[:2]):
             seen.clear()
             assert engine._check_gamma(run, models, grid) is True
-            assert len(seen) == len(models)
-            for model, (mu, sigma) in zip(models, seen):
+            # each model's mean, then its factor's sigma where the factor is new
+            want = []
+            for i, model in enumerate(models):
                 want_mu, want_sigma = model.posterior_grid(grid)
-                assert np.array_equal(mu, mean_grid(model, grid))
-                assert np.array_equal(mu, want_mu)
-                assert np.array_equal(sigma, want_sigma)
+                assert np.array_equal(want_mu, mean_grid(model, grid))
+                want.append(want_mu)
+                if i == 0 or not model.same_factor(models[i - 1]):
+                    want.append(want_sigma)
+            assert len(seen) == len(want)
+            for got, values in zip(seen, want):
+                assert np.array_equal(got, values)
 
     def test_grid_posteriors_hold_one_kernel_matrix(self, monkeypatch, run_and_grid):
         # models on distinct inputs: the previous matrix is dropped before the
@@ -595,16 +645,7 @@ class TestGammaCheck:
         run, grid = run_and_grid
         run = dataclasses.replace(run, bound=dataclasses.replace(run.bound, lip_f=0.0))
         models = [self.model(n) for n in (300, 301, 302, 303)]
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        single = peak(lambda: models[-1].posterior_grid(grid))
+        single = peak_bytes(lambda: models[-1].posterior_grid(grid))
         seen = []
         estimate_lipschitz = engine.estimate_lipschitz
 
@@ -613,8 +654,8 @@ class TestGammaCheck:
             return estimate_lipschitz(*args)
 
         monkeypatch.setattr(engine, "estimate_lipschitz", counting)
-        checked = peak(lambda: engine._check_gamma(run, models, grid))
-        assert len(seen) == len(models)  # every model got its full solve
+        checked = peak_bytes(lambda: engine._check_gamma(run, models, grid))
+        assert len(seen) == 2 * len(models)  # every model's mean and full-solve sigma
         assert checked <= 1.1 * single
 
     def test_episodes_match_every_model_oracle(self, monkeypatch):
@@ -800,6 +841,22 @@ class TestRunEpisode:
         for ev in late:
             assert abs(ev.y - plant.f_true(ev.x)) <= 0.25
 
+    @pytest.mark.parametrize("case_id", ["b", "d"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_finite_difference_residual_near_measurement_noise(self, case_id, seed):
+        # the error bound assumes zero-mean noise of std sigma_n on the
+        # targets; differencing the states adds a small bias (0.04-0.09
+        # sigma_n measured over about 580 events per episode)
+        cfg = dataclasses.replace(
+            case_preset(case_id), measurement_mode="finite_difference", seed=seed, t_end=10.0
+        )
+        plant = prepare_run(cfg).plant
+        _, summary = run_episode(cfg)
+        residual = np.array([ev.y - plant.f_true(ev.x) for ev in summary.events])
+        assert residual.size > 500
+        assert abs(residual.mean()) <= 0.15 * cfg.sigma_n
+        assert 0.9 * cfg.sigma_n <= residual.std() <= 1.15 * cfg.sigma_n
+
     def test_benchmark_headline_run(self):
         # stock single-run condition: all agents end inside the epsilon
         # band around the initial mean -0.285
@@ -858,6 +915,10 @@ class TestMonteCarlo:
         for jobs in (0, -3):
             with pytest.raises(GpConsensusError, match="jobs must be >= 1"):
                 run_monte_carlo(self.base(), 1, ("a",), jobs=jobs)
+
+    def test_rejects_repeated_case(self):
+        with pytest.raises(GpConsensusError, match="cases must not repeat"):
+            run_monte_carlo(self.base(), 1, ("a", "d", "a"))
 
     def test_workers_capped_at_task_count(self, monkeypatch):
         sizes = []

@@ -18,6 +18,7 @@ from gpconsensus.gp import (
     KernelParams,
     _cholesky_with_jitter,
     _clamp_var,
+    _kernel,
     check_gamma_condition,
     compute_beta,
     domain_grid,
@@ -30,6 +31,8 @@ from oracles import (
     error_bound,
     gp_posterior_reference,
     kernel_eval,
+    kernel_matrix_reference,
+    kernel_vec_reference,
     mean_grid,
     normals,
     sample_gp_prior,
@@ -48,7 +51,7 @@ BETA_D01_T1E3 = 23.838114035243105  # delta=0.01, tau=1e-3
 ETA_BAR_D01 = 0.09764858224315007  # 2 sqrt(beta) * 0.01
 
 
-def make_ctx(lip_f=0.0, lip_mu=0.0, lip_sigma=0.0, delta=0.01, tau=1e-3):
+def make_ctx(lip_f=0.0, delta=0.01, tau=1e-3):
     return make_bound_context(
         delta=delta,
         tau=tau,
@@ -56,8 +59,6 @@ def make_ctx(lip_f=0.0, lip_mu=0.0, lip_sigma=0.0, delta=0.01, tau=1e-3):
         domain_hi=1.5,
         noise_std=NOISE_STD,
         lip_f=lip_f,
-        lip_mu=lip_mu,
-        lip_sigma=lip_sigma,
     )
 
 
@@ -91,6 +92,41 @@ class TestKernel:
             KernelParams(sigma_f=0.0, length_scale=0.05)
         with pytest.raises(InvalidParam):
             KernelParams(sigma_f=1.0, length_scale=-1.0)
+
+    # at 0.02, most exponents between random points fall below -700
+    @pytest.mark.parametrize("length_scale", [0.05, 0.02])
+    def test_same_bits_as_former_vector_kernel(self, length_scale):
+        params = KernelParams(sigma_f=1.3, length_scale=length_scale)
+        rng = SplitMix64(7060)
+        for _ in range(200):
+            m = 1 + int(rng.uniform(0.0, 300.0))
+            xs = np.array([rng.uniform(-1.5, 1.5) for _ in range(m)])
+            x = rng.uniform(-1.5, 1.5)
+            want = kernel_vec_reference(params, xs, x)
+            for q in (x, np.float64(x), np.array(x)):
+                got = _kernel(params, xs, q)
+                assert got.shape == (m,)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("length_scale", [0.05, 0.02])
+    def test_same_bits_as_former_matrix_kernel(self, length_scale):
+        params = KernelParams(sigma_f=1.3, length_scale=length_scale)
+        rng = SplitMix64(7061)
+        xs = np.array([rng.uniform(-1.5, 1.5) for _ in range(300)])
+        grid = domain_grid(-1.5, 1.5, 1e-3)
+        for q in (grid, xs, grid[:1]):
+            got = _kernel(params, xs, q)
+            assert got.shape == (xs.size, q.size)
+            assert got.tobytes() == kernel_matrix_reference(params, xs, q).tobytes()
+
+    def test_matrix_built_in_place(self):
+        # the former expression peaked at 3x its result through temporaries
+        xs = np.linspace(-1.5, 1.5, 1000)
+        grid = domain_grid(-1.5, 1.5, 1e-3)
+        kq = []
+        peak = peak_bytes(lambda: kq.append(_kernel(BENCH_KERNEL, xs, grid)))
+        assert kq[0].shape == (1000, 3001)
+        assert peak <= 1.05 * kq[0].nbytes
 
 
 class TestPosterior:
@@ -245,6 +281,15 @@ class TestAddPoint:
             assert mu_i == pytest.approx(mu_b, abs=1e-9)
             assert sig_i == pytest.approx(sig_b, abs=1e-9)
 
+    def test_weights_exact_size_across_regrowth(self):
+        model = GpModel(BENCH_KERNEL, NOISE_STD)
+        assert model._alpha.shape == (0,)
+        rng = SplitMix64(7016)
+        for _ in range(65):  # the 65th point regrows the buffers 64 -> 128
+            model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
+        assert model._chol.shape == (128, 128)
+        assert model._alpha.shape == (65,)
+
     def test_jitter_ladder_recovers_duplicate_inputs(self):
         model = GpModel(BENCH_KERNEL, 1e-9)
         model.add_point(0.5, 1.0)
@@ -260,7 +305,7 @@ def narrow_copy(model: GpModel) -> GpModel:
     narrow._x = model._x[:m].copy()
     narrow._y = model._y[:m].copy()
     narrow._chol = model._chol[:m, :m].copy()
-    narrow._alpha = model._alpha[:m].copy()
+    narrow._alpha = model._alpha.copy()
     narrow._m = m
     return narrow
 
@@ -337,7 +382,7 @@ class TestLiveFactorSolves:
         tight, spare = models
         assert (tight._chol.shape[0], spare._chol.shape[0]) == (100, 128)
         assert np.array_equal(chol(tight), chol(spare))
-        assert tight._alpha.tobytes() == spare._alpha[:100].tobytes()
+        assert tight._alpha.tobytes() == spare._alpha.tobytes()
 
     def test_zero_pivot_raises_numerical_breakdown(self):
         model = grown_model(100)
@@ -370,7 +415,8 @@ class TestWithOutputs:
         assert shared.max_points == direct.max_points == 500
         assert np.array_equal(chol(shared), chol(direct))
         assert np.array_equal(shared.outputs, direct.outputs)
-        assert np.array_equal(shared._alpha[: xs.size], direct._alpha[: xs.size])
+        assert shared._alpha.shape == (xs.size,)
+        assert np.array_equal(shared._alpha, direct._alpha)
         for q in (-1.47, -0.3, 0.0, 0.71, 1.5):
             assert shared.posterior(q) == direct.posterior(q)
         grid = np.linspace(-1.5, 1.5, 101)
@@ -419,6 +465,7 @@ class TestWithOutputs:
     def test_empty_model(self):
         empty = GpModel(BENCH_KERNEL, NOISE_STD).with_outputs([])
         assert empty.size == 0
+        assert empty._alpha.shape == (0,)
         assert empty.posterior(0.4) == (0.0, BENCH_KERNEL.sigma_f)
 
     def test_rejects_wrong_length(self):
@@ -512,8 +559,6 @@ class TestBoundContext:
                 beta=10.0,
                 eta_bar_lower=ETA_BAR_D01,
                 lip_f=0.0,
-                lip_mu=0.0,
-                lip_sigma=0.0,
                 domain_lo=-1.5,
                 domain_hi=1.5,
             )
@@ -555,7 +600,8 @@ class TestErrorBound:
 
 def lipschitz_on_grid(model, domain_lo, domain_hi, grid_step):
     grid = domain_grid(domain_lo, domain_hi, grid_step)
-    return estimate_lipschitz(grid, *model.posterior_grid(grid))
+    mu, sigma = model.posterior_grid(grid)
+    return estimate_lipschitz(grid, mu), estimate_lipschitz(grid, sigma)
 
 
 def sigma_on_grid(model, ctx, grid_step):
@@ -607,8 +653,9 @@ class TestGammaCondition:
     def test_holds_for_prior_model(self):
         # gamma = (10 + 80 + 0) * 1e-3 = 0.09 vs sqrt(beta) * 1 = 4.88
         model = GpModel(BENCH_KERNEL, NOISE_STD)
-        ctx = make_ctx(lip_f=10.0, lip_mu=80.0)
-        assert check_gamma_condition(ctx, sigma_on_grid(model, ctx, 1e-2)) is True
+        ctx = make_ctx(lip_f=10.0)
+        sigma_min = float(sigma_on_grid(model, ctx, 1e-2).min())
+        assert check_gamma_condition(ctx, 80.0, 0.0, sigma_min) is True
 
     def test_fails_for_huge_tau(self):
         model = GpModel(BENCH_KERNEL, NOISE_STD)
@@ -620,7 +667,15 @@ class TestGammaCondition:
             noise_std=NOISE_STD,
             lip_f=10.0,
         )
-        assert check_gamma_condition(ctx, sigma_on_grid(model, ctx, 1e-2)) is False
+        sigma_min = float(sigma_on_grid(model, ctx, 1e-2).min())
+        assert check_gamma_condition(ctx, 0.0, 0.0, sigma_min) is False
+
+    def test_sigma_slope_enters_scaled_by_root_beta(self):
+        # gamma = sqrt(beta) lip_sigma tau against sqrt(beta) * 1: the
+        # condition holds while lip_sigma * 1e-3 stays below 1
+        ctx = make_ctx()
+        assert check_gamma_condition(ctx, 0.0, 999.0, 1.0) is True
+        assert check_gamma_condition(ctx, 0.0, 1001.0, 1.0) is False
 
 
 class TestProbabilisticCoverage:
