@@ -59,6 +59,18 @@ class SimConfig:
     case_label: str = ""
 
 
+# each field's kind, read from its default: int, float and str keys parse
+# and check alike; tuple and None defaults mark keys with their own syntax
+_KIND = {f.name: type(f.default) for f in fields(SimConfig)}
+
+_CHOICES = {
+    "controller": CONTROLLERS,
+    "learning": LEARNING_MODES,
+    "predictor": PREDICTORS,
+    "measurement_mode": MEASUREMENT_MODES,
+}
+
+
 def validate_config(config: SimConfig) -> SimConfig:
     """Check cross-field constraints; returns the config unchanged."""
 
@@ -67,20 +79,12 @@ def validate_config(config: SimConfig) -> SimConfig:
 
     if config.n_agents < 1:
         fail(f"n_agents must be >= 1, got {config.n_agents}")
-    if config.controller not in CONTROLLERS:
-        fail(f"controller must be one of {CONTROLLERS}, got {config.controller!r}")
-    if config.learning not in LEARNING_MODES:
-        fail(f"learning must be one of {LEARNING_MODES}, got {config.learning!r}")
-    if config.predictor not in PREDICTORS:
-        fail(f"predictor must be one of {PREDICTORS}, got {config.predictor!r}")
-    if config.measurement_mode not in MEASUREMENT_MODES:
-        fail(
-            f"measurement_mode must be one of {MEASUREMENT_MODES}, "
-            f"got {config.measurement_mode!r}"
-        )
-    for f in fields(config):
-        if f.name in _FLOAT_KEYS and not math.isfinite(getattr(config, f.name)):
-            fail(f"{f.name} must be finite, got {getattr(config, f.name)}")
+    for name, choices in _CHOICES.items():
+        if getattr(config, name) not in choices:
+            fail(f"{name} must be one of {choices}, got {getattr(config, name)!r}")
+    for name, kind in _KIND.items():
+        if kind is float and not math.isfinite(getattr(config, name)):
+            fail(f"{name} must be finite, got {getattr(config, name)}")
     for name, value in config.plant_params:
         if not math.isfinite(value):
             fail(f"plant.{name} must be finite, got {value}")
@@ -90,6 +94,12 @@ def validate_config(config: SimConfig) -> SimConfig:
         fail(f"dt must be > 0, got {config.dt}")
     if config.t_end < 0.0:
         fail(f"t_end must be >= 0, got {config.t_end}")
+    # a run takes round(t_end / dt) steps, so its last row must be t_end
+    if abs(math.remainder(config.t_end, config.dt)) > 1e-9 * config.t_end:
+        fail(
+            f"t_end must be a whole number of dt steps, got t_end={config.t_end} "
+            f"and dt={config.dt}"
+        )
     if not (config.c > 0.0 and config.c_bar > 0.0):
         fail(f"gains must be > 0, got c={config.c}, c_bar={config.c_bar}")
     if not (config.sigma_f > 0.0 and config.length_scale > 0.0):
@@ -174,29 +184,6 @@ def _format_value(name: str, value) -> str:
 
 # -- flat-file parsing -------------------------------------------------
 
-_INT_KEYS = {"n_agents", "offline_dataset_size", "seed", "max_points", "log_stride"}
-_FLOAT_KEYS = {
-    "c",
-    "c_bar",
-    "eps_bias",
-    "dt",
-    "t_end",
-    "sigma_f",
-    "length_scale",
-    "sigma_n",
-    "delta",
-    "tau",
-}
-_STR_KEYS = {
-    "plant",
-    "controller",
-    "learning",
-    "predictor",
-    "measurement_mode",
-    "case_label",
-}
-
-
 def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
     """Parse ``key = value`` lines over a base config (defaults if None)."""
     config = base if base is not None else SimConfig()
@@ -211,13 +198,14 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        kind = _KIND.get(key)
         if key.startswith("plant."):
             plant_params[key[len("plant.") :]] = _parse_float(key, value, lineno)
-        elif key in _INT_KEYS:
+        elif kind is int:
             overrides[key] = _parse_int(key, value, lineno)
-        elif key in _FLOAT_KEYS:
+        elif kind is float:
             overrides[key] = _parse_float(key, value, lineno)
-        elif key in _STR_KEYS:
+        elif kind is str:
             overrides[key] = value
         elif key == "edges":
             overrides[key] = _parse_edges(value, lineno)

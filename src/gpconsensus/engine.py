@@ -540,23 +540,23 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
 
 @dataclass(frozen=True)
 class McRunRecord:
-    """Per-(case, run) outcome."""
+    """Per-(case, run) outcome; a failed run keeps the defaults."""
 
     case: str
     run: int
     seed: int
-    final_error: float
-    trigger_counts: tuple[int, ...]
-    max_dataset_size: tuple[int, ...]
-    epsilon: float
-    domain_ok: bool
-    gamma_ok: bool
-    max_sigma_after: float
-    last_event_t: float
-    aux_mean_drift: float
-    aux_final_gap: float
-    failed: bool
-    message: str
+    final_error: float = math.nan
+    trigger_counts: tuple[int, ...] = ()
+    max_dataset_size: tuple[int, ...] = ()
+    epsilon: float = math.nan
+    domain_ok: bool = False
+    gamma_ok: bool = False
+    max_sigma_after: float = math.nan
+    last_event_t: float = math.nan
+    aux_mean_drift: float = math.nan
+    aux_final_gap: float = math.nan
+    failed: bool = False
+    message: str = ""
 
 
 @dataclass
@@ -579,29 +579,14 @@ def _mc_config(base: SimConfig, case: str, run_index: int, base_seed: int) -> Si
     )
 
 
-def _mc_worker(args: tuple[SimConfig, str, int]) -> tuple[str, int, NDArray, McRunRecord]:
+def _mc_worker(args: tuple[SimConfig, str, int]) -> tuple[NDArray, McRunRecord]:
     config, case, run_index = args
     try:
         traj, summary = run_episode(config)
     except GpConsensusError as exc:
-        record = McRunRecord(
-            case=case,
-            run=run_index,
-            seed=config.seed,
-            final_error=float("nan"),
-            trigger_counts=(),
-            max_dataset_size=(),
-            epsilon=float("nan"),
-            domain_ok=False,
-            gamma_ok=False,
-            max_sigma_after=float("nan"),
-            last_event_t=float("nan"),
-            aux_mean_drift=float("nan"),
-            aux_final_gap=float("nan"),
-            failed=True,
-            message=str(exc),
+        return np.array([]), McRunRecord(
+            case, run_index, config.seed, failed=True, message=str(exc)
         )
-        return case, run_index, np.array([]), record
     sigmas = [ev.sigma_after for ev in summary.events]
     aux_means = traj.x_bar.mean(axis=1)
     record = McRunRecord(
@@ -617,13 +602,9 @@ def _mc_worker(args: tuple[SimConfig, str, int]) -> tuple[str, int, NDArray, McR
         max_sigma_after=max(sigmas) if sigmas else float("nan"),
         last_event_t=summary.events[-1].t if summary.events else float("nan"),
         aux_mean_drift=float(np.max(np.abs(aux_means - summary.x_bar_star))),
-        aux_final_gap=float(
-            np.linalg.norm(traj.x_bar[-1] - summary.x_bar_star)
-        ),
-        failed=False,
-        message="",
+        aux_final_gap=float(np.linalg.norm(traj.x_bar[-1] - summary.x_bar_star)),
     )
-    return case, run_index, traj.err, record
+    return traj.err, record
 
 
 def run_monte_carlo(
@@ -635,15 +616,26 @@ def run_monte_carlo(
     """Seed-swept episodes per case with uniformly drawn initial states.
 
     Run k of every case uses seed base_seed + k, so all cases see the
-    same initial conditions for the same run index. Failures are
-    recorded per run, never fatal to the sweep.
+    same initial conditions for the same run index. Records follow the
+    order of ``cases``, then run index, for any ``jobs``.
+
+    Before any run starts, the sweep is checked: n_runs and jobs must be
+    at least 1 and cases must name at least one case, none twice
+    (ConfigError), and ``prepare_run`` must accept the base config under
+    each case (an unknown case raises InvalidParam). These probes also
+    fill the automatic lip_f memo that pool workers inherit. A run that
+    fails after that is recorded as failed, never fatal to the sweep.
     """
     if n_runs < 1:
-        raise GpConsensusError(f"n_runs must be >= 1, got {n_runs}")
+        raise ConfigError(f"runs must be >= 1, got {n_runs}")
     if jobs < 1:
-        raise GpConsensusError(f"jobs must be >= 1, got {jobs}")
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if not cases:
+        raise ConfigError("cases lists no case")
     if len(set(cases)) != len(cases):
-        raise GpConsensusError(f"cases must not repeat, got {cases}")
+        raise ConfigError(f"cases lists a case more than once: {tuple(cases)}")
+    for case in cases:
+        prepare_run(apply_case(base_config, case))
     tasks = [
         (_mc_config(base_config, case, k, base_config.seed), case, k)
         for case in cases
@@ -655,7 +647,6 @@ def run_monte_carlo(
             raw = list(pool.map(_mc_worker, tasks))
     else:
         raw = [_mc_worker(t) for t in tasks]
-    raw.sort(key=lambda item: (item[0], item[1]))
 
     first = tasks[0][0]
     n_steps = int(round(first.t_end / first.dt))
@@ -665,16 +656,14 @@ def run_monte_carlo(
     errors: dict[str, NDArray] = {
         case: np.full((n_runs, times.size), np.nan) for case in cases
     }
-    records = []
-    for case, run_index, err_series, record in raw:
-        records.append(record)
-        if not record.failed and err_series.size == times.size:
-            errors[case][run_index] = err_series
+    for err_series, record in raw:
+        if not record.failed:
+            errors[record.case][record.run] = err_series
     return McSummary(
         cases=tuple(cases),
         n_runs=n_runs,
         base_seed=base_config.seed,
         times=times,
         errors=errors,
-        records=tuple(records),
+        records=tuple(record for _, record in raw),
     )

@@ -460,14 +460,14 @@ def domain_grid(domain_lo: float, domain_hi: float, grid_step: float) -> NDArray
     return np.linspace(domain_lo, domain_hi, n)
 
 
-def estimate_lipschitz(grid: NDArray, values: NDArray) -> float:
-    """The grid estimate of the slope of values on a uniform grid.
+def max_slope(grid: NDArray, values: NDArray) -> float:
+    """The max absolute finite-difference slope of values on a uniform grid."""
+    return float(np.max(np.abs(np.diff(values)))) / float(grid[1] - grid[0])
 
-    The max absolute finite-difference slope, inflated by a 1.1 safety
-    factor.
-    """
-    h = grid[1] - grid[0]
-    return 1.1 * (float(np.max(np.abs(np.diff(values)))) / h)
+
+def estimate_lipschitz(grid: NDArray, values: NDArray) -> float:
+    """The grid estimate of the slope of values: ``max_slope`` inflated by 1.1."""
+    return 1.1 * max_slope(grid, values)
 
 
 def check_gamma_condition(

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParam, SingularGain
+from .gp import domain_grid, max_slope
 
 DEFAULT_G_MIN = 1e-6
 
@@ -81,12 +82,8 @@ def estimate_lip_f(
     grid_step: float = 1e-4,
 ) -> float:
     """Max absolute finite-difference slope of f over a uniform grid."""
-    if not (grid_step > 0.0):
-        raise InvalidParam(f"grid_step must be > 0, got {grid_step}")
-    n = max(2, int(round((domain_hi - domain_lo) / grid_step)) + 1)
-    grid = np.linspace(domain_lo, domain_hi, n)
-    vals = np.array([f(float(x)) for x in grid])
-    return float(np.max(np.abs(np.diff(vals)))) / float(grid[1] - grid[0])
+    grid = domain_grid(domain_lo, domain_hi, grid_step)
+    return max_slope(grid, np.array([f(x) for x in grid.tolist()]))
 
 
 # -- named built-ins ---------------------------------------------------

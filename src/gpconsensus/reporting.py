@@ -6,7 +6,7 @@ binary values. Every file starts with a '#'-prefixed meta block naming
 the probabilistic parameters, the derived bounds, the source revision,
 and the config digest that produced it. Files are written to a temp
 name in the target directory and renamed into place, so readers never
-observe a partial file.
+observe a partial file; the file gets the mode open() would give it.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ def _atomic_write(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        # mkstemp makes the file owner-only; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -1,17 +1,32 @@
 """Exit codes, file outputs, and printed diagnostics of the console tool."""
 
+import dataclasses
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from gpconsensus import cli
+from gpconsensus import cli, engine
 from gpconsensus.cli import main
+from gpconsensus.config import SimConfig, parse_config_text
+from gpconsensus.engine import prepare_run
 from oracles import read_trajectory_csv
 
 BETA_STOCK = 23.838114035243105
 ETA_BAR_STOCK = 0.09764858224315007
 EPSILON_STOCK = 0.7811886579452005
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(lang, marker):
+    """The first fenced README block in ``lang`` that contains ``marker``."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    return next(body for kind, body in blocks if kind == lang and marker in body)
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -191,41 +206,38 @@ class TestMonteCarlo:
         assert "# base_seed = 11" in mc_text
         assert (out_dir / "summary.csv").exists()
 
-    def test_config_error_stops_before_the_sweep(self, tmp_path, capsys, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("sweep started on an invalid config")
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        """Fails the test if the sweep starts any run."""
 
-        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started on a rejected sweep")
+
+        monkeypatch.setattr(engine, "_mc_worker", no_run)
+
+    def test_config_error_stops_before_the_sweep(self, tmp_path, capsys, no_runs):
         cfg = write_config(tmp_path, "initial_states = 2.0, 0.15, -0.06, -0.71\n")
         out_dir = tmp_path / "mc"
         assert main(["montecarlo", "--config", cfg, "--runs", "1", "--out", str(out_dir)]) == 1
         assert "agent 1 is 2.0, outside [-1.5, 1.5]" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_zero_runs_rejected(self, tmp_path, capsys):
+    def test_zero_runs_rejected(self, tmp_path, capsys, no_runs):
         cfg = write_config(tmp_path, "t_end = 0.1\n")
         assert main(["montecarlo", "--config", cfg, "--runs", "0"]) == 1
-        assert "--runs must be >= 1" in capsys.readouterr().err
+        assert "runs must be >= 1, got 0" in capsys.readouterr().err
 
-    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("sweep started with --jobs below 1")
-
-        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, no_runs):
         cfg = write_config(tmp_path, "t_end = 0.1\n")
         for jobs in ("0", "-3"):
             assert main(["montecarlo", "--config", cfg, "--runs", "1", "--jobs", jobs]) == 1
-            assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+            assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cases", ["a,b", "b,a"])
     def test_every_listed_case_validated_before_the_sweep(
-        self, tmp_path, capsys, monkeypatch, cases
+        self, tmp_path, capsys, no_runs, cases
     ):
         # case a's 150-point offline grid exceeds max_points; case b has none
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("sweep started with an invalid case")
-
-        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
         cfg = write_config(tmp_path, "max_points = 100\nt_end = 0.02\n")
         out_dir = tmp_path / "mc"
         argv = ["montecarlo", "--config", cfg, "--cases", cases, "--runs", "2"]
@@ -251,22 +263,31 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", cfg, "--cases", "a,z"]) == 1
         assert "unknown case 'z'" in capsys.readouterr().err
 
-    def test_repeated_case_rejected(self, tmp_path, capsys, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("sweep started with a repeated case")
-
-        monkeypatch.setattr(cli, "run_monte_carlo", no_sweep)
+    def test_repeated_case_rejected(self, tmp_path, capsys, no_runs):
         cfg = write_config(tmp_path, "t_end = 0.02\n")
         out_dir = tmp_path / "mc"
         argv = ["montecarlo", "--config", cfg, "--cases", "a,a", "--runs", "2"]
         assert main(argv + ["--out", str(out_dir)]) == 1
-        assert "--cases lists a case more than once: 'a,a'" in capsys.readouterr().err
+        assert "cases lists a case more than once: ('a', 'a')" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_empty_case_list_rejected(self, tmp_path, capsys):
+    def test_empty_case_list_rejected(self, tmp_path, capsys, no_runs):
         cfg = write_config(tmp_path, "t_end = 0.1\n")
         assert main(["montecarlo", "--config", cfg, "--cases", " , "]) == 1
-        assert "--cases lists no case: ' , '" in capsys.readouterr().err
+        assert "cases lists no case" in capsys.readouterr().err
+
+    def test_csv_rows_follow_listed_case_order(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t_end = 0.02\n")
+        out_dir = tmp_path / "mc"
+        argv = ["montecarlo", "--config", cfg, "--cases", "d,a", "--runs", "2"]
+        assert main(argv + ["--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        for name in ("montecarlo.csv", "summary.csv"):
+            text = (out_dir / name).read_text(encoding="utf-8")
+            rows = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
+            first_case = [row.split(",")[0] for row in rows]
+            assert first_case[0] == "d" and first_case[-1] == "a"
+            assert first_case == sorted(first_case, key="da".index)
 
     def test_failed_runs_reported_not_fatal(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t_end = 0.3\nmax_points = 3\n")
@@ -334,3 +355,26 @@ class TestParserBehavior:
         )
         assert proc.returncode == 0
         assert "config ok" in proc.stdout
+
+
+class TestReadme:
+    def test_scenario_example_is_a_valid_config_naming_every_key(self):
+        text = readme_block("ini", "# scenario.cfg")
+        prepare_run(parse_config_text(text))
+        keys = {
+            line.split("#", 1)[0].partition("=")[0].strip()
+            for line in text.splitlines()
+        } - {""}
+        every = {f.name for f in dataclasses.fields(SimConfig)}
+        assert keys == every - {"plant_params", "case_label"}
+
+    def test_cli_examples_parse(self):
+        commands = [
+            shlex.split(line)[1:]
+            for line in readme_block("sh", "gpconsensus run").splitlines()
+            if line.startswith("gpconsensus ")
+        ]
+        assert [argv[0] for argv in commands] == ["run", "montecarlo", "appendix", "validate"]
+        parser = cli.build_parser()
+        for argv in commands:
+            assert callable(parser.parse_args(argv).func)

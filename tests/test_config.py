@@ -124,6 +124,15 @@ class TestValidation:
     def test_t_end_zero_allowed(self):
         validate_config(valid(t_end=0.0))
 
+    @pytest.mark.parametrize("t_end", [0.25, 10.0])
+    def test_whole_step_horizon_accepted(self, t_end):
+        validate_config(valid(t_end=t_end))
+
+    def test_horizon_between_steps_rejected(self):
+        # a run takes round(t_end / dt) steps: 0.0016 would end at 0.002
+        with pytest.raises(ConfigError, match="t_end must be a whole number of dt steps"):
+            validate_config(valid(t_end=0.0016))
+
     def test_every_learning_mode_has_a_trigger(self):
         assert set(TRIGGER_FOR_LEARNING) == set(LEARNING_MODES)
         assert TRIGGER_FOR_LEARNING["offline"] == "none"
@@ -154,6 +163,18 @@ class TestSerialization:
     def test_round_trip_explicit_lip(self):
         cfg = valid(lip_f=10.06)
         assert parse_config_text(config_to_text(cfg)).lip_f == 10.06
+
+    def test_round_trip_every_scalar_field(self):
+        # a field parses by the kind of its default; only these four keys
+        # have a syntax of their own
+        bump = {int: lambda v: v + 1, float: lambda v: 2.0 * v + 0.125, str: lambda v: v + "x"}
+        scalar = [f for f in dataclasses.fields(SimConfig) if type(f.default) in bump]
+        special = {f.name for f in dataclasses.fields(SimConfig)} - {f.name for f in scalar}
+        assert special == {"edges", "plant_params", "initial_states", "lip_f"}
+        for f in scalar:
+            cfg = valid(**{f.name: bump[type(f.default)](f.default)})
+            assert cfg != SimConfig()
+            assert parse_config_text(config_to_text(cfg)) == cfg
 
     def test_hash_is_stable_and_sensitive(self):
         a = config_hash(SimConfig())

@@ -25,7 +25,6 @@ from gpconsensus.engine import (
 from gpconsensus.errors import (
     CapacityExceeded,
     ConfigError,
-    GpConsensusError,
     NumericalBreakdown,
     OutOfDomain,
 )
@@ -896,12 +895,41 @@ class TestMonteCarlo:
             assert rec.trigger_counts == (0, 0, 0, 0)
 
     def test_failures_recorded_not_fatal(self):
-        mc = run_monte_carlo(self.base(max_points=5), 1, ("a", "d"))
+        # c dt times the ring's largest Laplacian eigenvalue is 8, far past
+        # RK4's stability limit of 2.79, so every run of either case leaves
+        # the domain within a few steps
+        mc = run_monte_carlo(self.base(c=2000.0), 1, ("a", "d"))
         assert all(r.failed for r in mc.records)
-        by_case = {r.case: r for r in mc.records}
-        assert "max_points" in by_case["a"].message
-        assert "case=d" in by_case["d"].message
-        assert np.all(np.isnan(mc.errors["d"]))
+        for rec in mc.records:
+            assert "outside [-1.5, 1.5]" in rec.message
+            assert f"case={rec.case}" in rec.message
+            assert math.isnan(rec.final_error) and rec.trigger_counts == ()
+        assert np.all(np.isnan(mc.errors["a"])) and np.all(np.isnan(mc.errors["d"]))
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started on a rejected sweep")
+
+        monkeypatch.setattr(engine, "_mc_worker", no_run)
+
+    @pytest.mark.parametrize("cases", [("a", "d"), ("d", "a")])
+    def test_case_config_error_raises_before_any_run(self, no_runs, cases):
+        # case a's 150-point offline grid exceeds max_points; case d has none
+        with pytest.raises(ConfigError, match="exceeds max_points 100"):
+            run_monte_carlo(self.base(max_points=100), 1, cases)
+
+    def test_rejects_empty_case_list(self, no_runs):
+        with pytest.raises(ConfigError, match="cases lists no case"):
+            run_monte_carlo(self.base(), 1, ())
+
+    def test_rejects_runs_below_one(self, no_runs):
+        with pytest.raises(ConfigError, match="runs must be >= 1, got 0"):
+            run_monte_carlo(self.base(), 0, ("a",))
+
+    def test_records_follow_listed_case_order(self):
+        mc = run_monte_carlo(self.base(t_end=0.02), 2, ("d", "a"), jobs=2)
+        assert [(r.case, r.run) for r in mc.records] == [("d", 0), ("d", 1), ("a", 0), ("a", 1)]
 
     def test_error_series_shape(self):
         mc = run_monte_carlo(self.base(), 2, ("d",))
@@ -913,11 +941,11 @@ class TestMonteCarlo:
 
     def test_rejects_jobs_below_one(self):
         for jobs in (0, -3):
-            with pytest.raises(GpConsensusError, match="jobs must be >= 1"):
+            with pytest.raises(ConfigError, match="jobs must be >= 1"):
                 run_monte_carlo(self.base(), 1, ("a",), jobs=jobs)
 
     def test_rejects_repeated_case(self):
-        with pytest.raises(GpConsensusError, match="cases must not repeat"):
+        with pytest.raises(ConfigError, match="cases lists a case more than once"):
             run_monte_carlo(self.base(), 1, ("a", "d", "a"))
 
     def test_workers_capped_at_task_count(self, monkeypatch):

@@ -47,6 +47,12 @@ class TestBenchmarkF:
         assert lip == pytest.approx(10.056694142119985, abs=1e-3)
         assert lip <= 10.06
 
+    def test_default_scan_pinned(self):
+        # the automatic lip_f of every stock case
+        plant = make_benchmark_plant()
+        lip = estimate_lip_f(plant.f_true, plant.domain_lo, plant.domain_hi)
+        assert lip == 10.056694611978443
+
 
 class TestDrift:
     def test_benchmark_cancellation(self):

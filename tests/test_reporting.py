@@ -144,6 +144,17 @@ class TestAtomicWrite:
         assert first != second
         assert b"second" in second and b"first" not in second
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        traj, summary = short_episode()
+        path = tmp_path / "out.csv"
+        previous = os.umask(umask)
+        try:
+            write_trajectory_csv(path, traj, build_meta(summary))
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == mode
+
     def test_creates_missing_directories(self, tmp_path):
         traj, summary = short_episode()
         path = tmp_path / "deep" / "nested" / "out.csv"
@@ -180,14 +191,7 @@ class TestSummaryCsv:
             aux_mean_drift=0.0, aux_final_gap=0.0,
             failed=False, message="",
         )
-        bad = McRunRecord(
-            case="d", run=1, seed=8, final_error=float("nan"),
-            trigger_counts=(), max_dataset_size=(),
-            epsilon=float("nan"), domain_ok=False, gamma_ok=False,
-            max_sigma_after=float("nan"), last_event_t=float("nan"),
-            aux_mean_drift=float("nan"), aux_final_gap=float("nan"),
-            failed=True, message="database full",
-        )
+        bad = McRunRecord(case="d", run=1, seed=8, failed=True, message="database full")
         path = tmp_path / "summary.csv"
         write_summary_csv(path, [ok, bad], 4, {"runs": 2})
         rows = rows_without_meta(path)
