@@ -12,6 +12,7 @@ its seed) fully determines every output byte.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -42,6 +43,7 @@ from .gp import (
     domain_grid,
     estimate_lipschitz,
     make_bound_context,
+    shared_factor_means,
 )
 from .plants import PlantSpec, drift, estimate_lip_f, make_plant, measure
 from .presets import apply_case
@@ -143,6 +145,71 @@ def _auto_lip_f(plant_name: str, plant_params: tuple[tuple[str, float], ...]) ->
     return estimate_lip_f(plant.f_true, plant.domain_lo, plant.domain_hi)
 
 
+class _GridFacts:
+    """What the end-of-run gamma check reads of one factor on one grid.
+
+    That is the kernel matrix ``kq`` of the factor's inputs against the
+    grid, ``gp._sigma_upper``'s probe bound, and (lip_sigma, sigma_min) of
+    the full-grid sigma solve, or None until it is solved. None of them
+    reads the targets, so they hold for every model that shares the
+    factor (``GpModel.same_factor``); each is computed on first need and
+    kept. A raised NumericalBreakdown keeps nothing.
+    """
+
+    def __init__(self, model: GpModel, grid: NDArray):
+        self.model = model
+        self.grid = grid
+        self.sigma: tuple[float, float] | None = None
+
+    @functools.cached_property
+    def kq(self) -> NDArray:
+        return _kernel(self.model.kernel, self.model.inputs, self.grid)
+
+    @functools.cached_property
+    def sigma_upper(self) -> float | None:
+        return _sigma_upper(self.model, self.grid, self.kq)
+
+
+@functools.lru_cache(maxsize=4)
+def _offline_factor_memo(
+    kernel: KernelParams,
+    sigma_n: float,
+    domain_lo: float,
+    domain_hi: float,
+    size: int,
+    max_points: int,
+) -> _GridFacts:
+    """The shared offline factor of a key, with its grid facts, once per process.
+
+    Offline inputs are ``size`` evenly spaced points over the domain, so
+    the key fixes the factor; the facts are on the run's domain grid. The
+    base model holds zero targets and never reaches a run: agents get
+    ``with_outputs`` models of it. Pool workers forked after an entry is
+    made inherit it. An entry holds an M x M factor and, once the gamma
+    check needs it, an M x G kernel matrix (G = 3001 grid points on the
+    stock domain): 32 MB at M = 1000, so the 4 entries kept hold at most
+    128 MB there.
+    """
+    xs = np.linspace(domain_lo, domain_hi, size)
+    base = GpModel.from_data(kernel, sigma_n, xs, np.zeros(size), max_points=max_points)
+    return _GridFacts(base, domain_grid(domain_lo, domain_hi, LIP_GRID_STEP))
+
+
+def _offline_factor(run: RunContext) -> _GridFacts | None:
+    """The memoised offline factor of a run, or None without offline data."""
+    cfg = run.config
+    if cfg.offline_dataset_size == 0:
+        return None
+    return _offline_factor_memo(
+        run.kernel,
+        cfg.sigma_n,
+        run.plant.domain_lo,
+        run.plant.domain_hi,
+        cfg.offline_dataset_size,
+        cfg.max_points,
+    )
+
+
 def prepare_run(config: SimConfig) -> RunContext:
     """Validate a config against itself and its plant; derive the fixed run data."""
     validate_config(config)
@@ -242,19 +309,15 @@ def init_state(run: RunContext, rng: SplitMix64) -> SimState:
         x = np.array(
             [rng.uniform(run.plant.domain_lo, run.plant.domain_hi) for _ in range(n)]
         )
+    # every agent samples the same input grid, so all share one factor
+    shared = _offline_factor(run)
     models: list[GpModel] = []
     for _ in range(n):
-        if cfg.offline_dataset_size > 0:
-            xs, ys = make_offline_dataset(
+        if shared is not None:
+            _, ys = make_offline_dataset(
                 run.plant, cfg.offline_dataset_size, cfg.sigma_n, rng
             )
-            # every agent samples the same input grid, so all share one factor
-            if models:
-                model = models[0].with_outputs(ys)
-            else:
-                model = GpModel.from_data(
-                    run.kernel, cfg.sigma_n, xs, ys, max_points=cfg.max_points
-                )
+            model = shared.model.with_outputs(ys)
         else:
             model = GpModel(run.kernel, cfg.sigma_n, max_points=cfg.max_points)
         models.append(model)
@@ -300,10 +363,13 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
 
     Each agent queries its model once. Where a trigger rule is active or
     need_eta is set (the step is logged), that query is a full posterior
-    and yields both eta and f_hat; otherwise it is the O(M) mean alone,
-    and eta and rho stay 0. A fired agent takes f_hat from the post-update
-    posterior that also gives sigma_after. Raises OutOfDomain when a state
-    leaves the plant domain or becomes non-finite.
+    and yields both eta and f_hat, and a fired agent's update reuses its
+    solve. Otherwise learning is offline, so the models share one factor
+    or are all empty, and f_hat is one kernel block against it
+    (``gp.shared_factor_means``); eta and rho stay 0. A fired agent takes
+    f_hat from the post-update posterior that also gives sigma_after.
+    Raises OutOfDomain when a state leaves the plant domain or becomes
+    non-finite.
     """
     cfg = run.config
     n = run.topology.n_agents
@@ -338,7 +404,7 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
             state.trigger_counts[i] += 1
             fired[i] = 1
     else:
-        mu = np.array([m.mean(xi) for m, xi in zip(state.models, x_snap.tolist())])
+        mu = shared_factor_means(state.models, x_snap)
         eta = np.zeros(n)
         rho = np.zeros(n)
 
@@ -417,10 +483,12 @@ def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
 
     Models are checked in agent order, and the check stops at the first
     failure. Consecutive models on one factor (``GpModel.same_factor``)
-    share one grid kernel matrix, one sigma solve and so one lip_sigma;
-    each model's mean, and so its lip_mu, is still its own. Only one
-    kernel matrix is held: the previous one is dropped before the next is
-    built.
+    share its ``_GridFacts``: one grid kernel matrix, one sigma solve and
+    so one lip_sigma; each model's mean, and so its lip_mu, is still its
+    own. Models on the run's memoised offline factor read the facts kept
+    with it, when grid is the run's domain grid, so later runs on that
+    factor reuse them. Of other factors only one kernel matrix is held:
+    the previous one is dropped before the next is built.
 
     Before a factor's full-grid sigma is solved, a failure is proven where
     it can be: ``check_gamma_condition`` with lip_sigma = 0 has no larger
@@ -432,19 +500,24 @@ def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
     so proven to fail is no longer raised.
     """
     bound = run.bound
-    factor = kq = lip_sigma = sigma_min = None
+    shared = _offline_factor(run)
+    if shared is not None and not np.array_equal(shared.grid, grid):
+        shared = None
+    facts = None
     for model in models:
-        if factor is None or not model.same_factor(factor):
-            factor, kq, sigma_min = model, None, None
-            kq = _kernel(model.kernel, model.inputs, grid)
-        lip_mu = estimate_lipschitz(grid, _grid_mean(model, kq))
-        if sigma_min is None:
-            sigma_up = _sigma_upper(model, grid, kq)
+        if facts is None or not model.same_factor(facts.model):
+            if shared is not None and model.same_factor(shared.model):
+                facts = shared
+            else:
+                facts = _GridFacts(model, grid)
+        lip_mu = estimate_lipschitz(grid, _grid_mean(model, facts.kq))
+        if facts.sigma is None:
+            sigma_up = facts.sigma_upper
             if sigma_up is not None and not check_gamma_condition(bound, lip_mu, 0.0, sigma_up):
                 return False
-            _, sigma = model.posterior_grid(grid, _kq=kq)
-            lip_sigma, sigma_min = estimate_lipschitz(grid, sigma), float(np.min(sigma))
-        if not check_gamma_condition(bound, lip_mu, lip_sigma, sigma_min):
+            _, sigma = facts.model.posterior_grid(grid, _kq=facts.kq)
+            facts.sigma = estimate_lipschitz(grid, sigma), float(np.min(sigma))
+        if not check_gamma_condition(bound, lip_mu, *facts.sigma):
             return False
     return True
 
@@ -623,8 +696,9 @@ def run_monte_carlo(
     at least 1 and cases must name at least one case, none twice
     (ConfigError), and ``prepare_run`` must accept the base config under
     each case (an unknown case raises InvalidParam). These probes also
-    fill the automatic lip_f memo that pool workers inherit. A run that
-    fails after that is recorded as failed, never fatal to the sweep.
+    fill the automatic lip_f memo and the offline factor memo that pool
+    workers inherit; cases a and c share one factor. A run that fails
+    after that is recorded as failed, never fatal to the sweep.
     """
     if n_runs < 1:
         raise ConfigError(f"runs must be >= 1, got {n_runs}")
@@ -635,7 +709,10 @@ def run_monte_carlo(
     if len(set(cases)) != len(cases):
         raise ConfigError(f"cases lists a case more than once: {tuple(cases)}")
     for case in cases:
-        prepare_run(apply_case(base_config, case))
+        run = prepare_run(apply_case(base_config, case))
+        # a factor that cannot be built fails that case's runs, not the sweep
+        with contextlib.suppress(GpConsensusError):
+            _offline_factor(run)
     tasks = [
         (_mc_config(base_config, case, k, base_config.seed), case, k)
         for case in cases

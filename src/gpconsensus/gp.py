@@ -90,6 +90,7 @@ class GpModel:
         self._chol = np.zeros((cap, cap))
         self._alpha = np.zeros(0)
         self._m = 0
+        self._query: tuple[float, int, NDArray] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -170,25 +171,19 @@ class GpModel:
 
     # -- queries ------------------------------------------------------
 
-    def mean(self, x: float) -> float:
-        """Posterior mean at a scalar query point: one kernel vector, no solve.
-
-        Bit-identical to ``posterior(x)[0]``; use it where sigma is not read.
-        """
-        if self._m == 0:
-            return 0.0
-        m = self._m
-        k = _kernel(self.kernel, self._x[:m], x)
-        return float(k @ self._alpha)
-
     def posterior(self, x: float) -> tuple[float, float]:
-        """Posterior mean and standard deviation at a scalar query point."""
+        """Posterior mean and standard deviation at a scalar query point.
+
+        Keeps x, the dataset size and L^-1 k(x), which ``add_point`` at the
+        same x and size reuses.
+        """
         if self._m == 0:
             return 0.0, self.kernel.sigma_f
         m = self._m
         k = _kernel(self.kernel, self._x[:m], x)
         mu = float(k @ self._alpha)
         v = self._solve_lower(k)
+        self._query = (x, m, v)
         var = self.kernel.sigma_f**2 - float(v @ v)
         return mu, math.sqrt(_clamp_var(var))
 
@@ -218,7 +213,12 @@ class GpModel:
     # -- updates ------------------------------------------------------
 
     def add_point(self, x: float, y: float) -> "GpModel":
-        """Append one observation, extending the Cholesky factor by one row."""
+        """Append one observation, extending the Cholesky factor by one row.
+
+        The new row is L^-1 k(x). After ``posterior(x)`` at this dataset
+        size it is that query's solve, with the same bits: the factor only
+        grows, so its first m rows are those the query solved against.
+        """
         if self._m >= self.max_points:
             raise CapacityExceeded(f"dataset already at cap {self.max_points}")
         m = self._m
@@ -227,8 +227,11 @@ class GpModel:
         if m == 0:
             self._chol[0, 0] = math.sqrt(kxx)
         else:
-            k = _kernel(self.kernel, self._x[:m], x)
-            c = self._solve_lower(k)
+            query = self._query
+            if query is not None and query[0] == x and query[1] == m:
+                c = query[2]
+            else:
+                c = self._solve_lower(_kernel(self.kernel, self._x[:m], x))
             d2 = kxx - float(c @ c)
             if d2 <= 0.0:
                 for jitter in JITTER_LADDER:
@@ -289,6 +292,24 @@ _PROBE_POINTS = 16
 
 # unit roundoff of IEEE double precision
 _UNIT_ROUNDOFF = 2.0**-53
+
+
+def shared_factor_means(models: list[GpModel], xs: NDArray) -> NDArray:
+    """Posterior means of models[i] at xs[i], from one kernel block.
+
+    The models must all hold one factor (``GpModel.same_factor``) or all
+    be empty; empty models give 0.0. Row i of the N x M block of xs
+    against the shared inputs has the bits of the kernel vector
+    ``posterior(xs[i])`` builds (squaring drops the sign of each
+    difference), so its dot with models[i]'s weights has the bits of
+    ``posterior(xs[i])[0]``.
+    """
+    first = models[0]
+    m = first._m
+    if m == 0:
+        return np.zeros(len(models))
+    rows = _kernel(first.kernel, xs, first._x[:m])
+    return np.array([row @ model._alpha for row, model in zip(rows, models)])
 
 
 def _grid_mean(model: GpModel, kq: NDArray) -> NDArray:

@@ -250,7 +250,7 @@ class TestMonteCarlo:
         outputs = []
         for jobs in ("1", "2"):
             out_dir = tmp_path / f"mc_jobs{jobs}"
-            argv = ["montecarlo", "--config", cfg, "--cases", "a,d", "--runs", "2"]
+            argv = ["montecarlo", "--config", cfg, "--cases", "a,b,c,d", "--runs", "2"]
             assert main(argv + ["--jobs", jobs, "--out", str(out_dir)]) == 0
             outputs.append(
                 [(out_dir / name).read_bytes() for name in ("montecarlo.csv", "summary.csv")]

@@ -9,6 +9,7 @@ import pytest
 
 from gpconsensus import engine, gp
 from gpconsensus.analysis import appendix_solution, consensus_error
+from gpconsensus.cli import main
 from gpconsensus.config import SimConfig
 from gpconsensus.engine import (
     LIP_GRID_STEP,
@@ -225,10 +226,8 @@ class TestLipMemo:
             calls.append(args)
             return estimate_lip_f(*args, **kwargs)
 
-        engine._auto_lip_f.cache_clear()
         monkeypatch.setattr(engine, "estimate_lip_f", counting)
-        yield calls
-        engine._auto_lip_f.cache_clear()
+        return calls
 
     @staticmethod
     def affine(slope, lip_f=None):
@@ -266,6 +265,24 @@ class TestLipMemo:
         assert prepare_run(case_preset("d")).bound.lip_f == direct
         assert prepare_run(case_preset("c")).bound.lip_f == direct
         assert len(scans) == 1
+
+
+def count_kernels_and_solves(monkeypatch):
+    """Count ``gp._kernel`` and ``GpModel._solve_lower`` calls into the dict returned."""
+    counts = {"kernel": 0, "solve": 0}
+    kernel, solve = gp._kernel, GpModel._solve_lower
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counting_solve(self, *args, **kwargs):
+        counts["solve"] += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "_kernel", counting_kernel)
+    monkeypatch.setattr(GpModel, "_solve_lower", counting_solve)
+    return counts
 
 
 class TestStep:
@@ -345,6 +362,55 @@ class TestStep:
         info = step(state, run, SplitMix64(cfg.seed))
         assert info.fired[0] == 1
         assert abs(info.u[0] + f_here) <= 0.05
+
+    def test_fired_update_reuses_the_trigger_query(self, monkeypatch):
+        # against updates that forget the query and solve it again, each
+        # event on a nonempty model saves exactly one kernel vector and one
+        # triangular solve (a first point needs neither)
+        cfg = dataclasses.replace(case_preset("d"), t_end=0.05)
+        counts = count_kernels_and_solves(monkeypatch)
+        add_point = GpModel.add_point
+
+        def forgetting_add_point(self, x, y):
+            self._query = None
+            return add_point(self, x, y)
+
+        def steps():
+            run = prepare_run(cfg)
+            rng = SplitMix64(cfg.seed)
+            state = init_state(run, rng)
+            rows = []
+            for _ in range(int(round(cfg.t_end / cfg.dt))):
+                counts.update(kernel=0, solve=0)
+                info = step(state, run, rng)
+                grown = sum(state.models[ev.agent].size > 1 for ev in info.events)
+                rows.append((counts["kernel"], counts["solve"], grown))
+            return rows, state
+
+        reused, reused_state = steps()
+        monkeypatch.setattr(GpModel, "add_point", forgetting_add_point)
+        recomputed, recomputed_state = steps()
+        assert sum(events for _, _, events in reused) >= 8
+        for (k, s, events), (k_old, s_old, events_old) in zip(reused, recomputed):
+            assert events == events_old
+            assert (k, s) == (k_old - events, s_old - events)
+        assert reused_state.x.tobytes() == recomputed_state.x.tobytes()
+        for model, old in zip(reused_state.models, recomputed_state.models):
+            assert chol(model).tobytes() == chol(old).tobytes()
+
+    def test_offline_unlogged_step_is_one_kernel_block(self, monkeypatch):
+        # four agents on one factor: one N x M kernel block, no solve, and
+        # the input of the step that queries every posterior
+        run = prepare_run(case_preset("c"))
+        counts = count_kernels_and_solves(monkeypatch)
+        infos = []
+        for need in (True, False):
+            state = init_state(run, SplitMix64(3))
+            counts.update(kernel=0, solve=0)
+            infos.append(step(state, run, SplitMix64(3), need_eta=need))
+        # the counts of the unlogged step
+        assert counts == {"kernel": 1, "solve": 0}
+        assert infos[0].u.tobytes() == infos[1].u.tobytes()
 
     def test_event_records_measurement_site(self):
         cfg = dataclasses.replace(case_preset("d"), t_end=0.05)
@@ -752,6 +818,116 @@ class TestInitState:
         models = init_state(run, SplitMix64(0)).models
         assert [m.size for m in models] == [0, 0, 0, 0]
         assert len({id(m) for m in models}) == 4
+
+
+class TestOfflineFactorMemo:
+    """One offline factor and its grid facts per process and key."""
+
+    @staticmethod
+    def factor(**change):
+        return engine._offline_factor(prepare_run(dataclasses.replace(case_preset("c"), **change)))
+
+    def test_cases_a_and_c_and_their_seeds_share_one_factor(self):
+        chols = []
+        for case_id, seed in (("a", 0), ("c", 0), ("c", 1)):
+            run = prepare_run(dataclasses.replace(case_preset(case_id), seed=seed))
+            chols.extend(model._chol for model in init_state(run, SplitMix64(seed)).models)
+        assert len(chols) == 12
+        assert all(c is chols[0] for c in chols)
+        assert engine._offline_factor_memo.cache_info().currsize == 1
+        # the plant is no part of the key, its domain is
+        assert self.factor(plant="affine", plant_params=(("f_offset", 0.5), ("f_slope", 2.0))) is (
+            self.factor()
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"length_scale": 0.06},
+            {"sigma_f": 1.1},
+            {"sigma_n": 0.02},
+            {"offline_dataset_size": 149},
+            {"max_points": 999},
+            {"plant": "affine", "plant_params": (("f_offset", 0.5), ("f_slope", 2.0), ("domain_lo", -1.4))},
+        ],
+    )
+    def test_every_key_field_gives_its_own_factor(self, change):
+        stock = self.factor()
+        other = self.factor(**change)
+        assert other.model._chol is not stock.model._chol
+        assert self.factor() is stock and self.factor(**change) is other
+        run = prepare_run(dataclasses.replace(case_preset("c"), **change))
+        xs = np.linspace(run.plant.domain_lo, run.plant.domain_hi, run.config.offline_dataset_size)
+        assert np.array_equal(other.model.inputs, xs)
+
+    def test_no_offline_data_no_factor(self):
+        assert engine._offline_factor(prepare_run(case_preset("d"))) is None
+        assert engine._offline_factor_memo.cache_info().currsize == 0
+
+    def test_second_episode_builds_nothing_and_repeats_its_bits(self, monkeypatch):
+        cfg = dataclasses.replace(case_preset("c"), t_end=0.1)
+        traj, summary = run_episode(cfg)
+        counts = {"from_data": 0, "kernel_matrix": 0, "grid": 0, "probe": 0}
+        from_data, kernel = GpModel.from_data.__func__, engine._kernel
+
+        def counting_from_data(cls, *args, **kwargs):
+            counts["from_data"] += 1
+            return from_data(cls, *args, **kwargs)
+
+        def counting_kernel(*args):
+            counts["kernel_matrix"] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(GpModel, "from_data", classmethod(counting_from_data))
+        monkeypatch.setattr(engine, "_kernel", counting_kernel)
+        count_grid_solves(monkeypatch, counts)
+        again, again_summary = run_episode(cfg)
+        assert counts == {"from_data": 0, "kernel_matrix": 0, "grid": 0, "probe": 0}
+        assert again_summary == summary and summary.gamma_ok
+        for name in ("t", "x", "x_bar", "u", "rho", "eta", "fired", "dataset_size", "err"):
+            assert getattr(again, name).tobytes() == getattr(traj, name).tobytes()
+
+    def test_online_updates_leave_the_memo_factor_unchanged(self):
+        # online agents on 64 offline points fire and copy the shared
+        # buffers first; the memo keeps the bits it was built with
+        cfg = dataclasses.replace(case_preset("d"), t_end=0.5, offline_dataset_size=64)
+        base = engine._offline_factor(prepare_run(cfg)).model
+        x0, chol0 = base._x.tobytes(), base._chol.tobytes()
+        traj, summary = run_episode(cfg)
+        assert summary.events and max(summary.max_dataset_size) > 64
+        again, again_summary = run_episode(cfg)
+        assert engine._offline_factor(prepare_run(cfg)).model is base
+        assert (base._x.tobytes(), base._chol.tobytes()) == (x0, chol0)
+        assert again_summary == summary
+        for name in ("t", "x", "x_bar", "u", "rho", "eta", "fired", "dataset_size", "err"):
+            assert getattr(again, name).tobytes() == getattr(traj, name).tobytes()
+
+    def test_memo_keeps_the_four_latest_factors(self):
+        factors = [self.factor(offline_dataset_size=n) for n in (10, 11, 12, 13, 14)]
+        info = engine._offline_factor_memo.cache_info()
+        assert (info.maxsize, info.currsize) == (4, 4)
+        assert self.factor(offline_dataset_size=14) is factors[4]
+        assert self.factor(offline_dataset_size=11) is factors[1]
+        # 10 was dropped; building it again drops 12, now the oldest
+        assert self.factor(offline_dataset_size=10) is not factors[0]
+        assert self.factor(offline_dataset_size=13) is factors[3]
+        assert self.factor(offline_dataset_size=12) is not factors[2]
+        assert engine._offline_factor_memo.cache_info().currsize == 4
+
+    def test_validate_builds_no_factor(self, capsys):
+        assert main(["validate", "--case", "c"]) == 0
+        capsys.readouterr()
+        assert engine._offline_factor_memo.cache_info().currsize == 0
+
+    def test_sweep_probe_builds_the_factor_in_the_parent(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(engine, "_mc_worker", no_run)
+        with pytest.raises(AssertionError, match="a run started"):
+            run_monte_carlo(case_preset("a"), 2, ("a", "b", "c", "d"))
+        assert engine._offline_factor_memo.cache_info().currsize == 1
+        assert self.factor().model.size == 150
 
 
 class TestRunEpisode:

@@ -24,6 +24,7 @@ from gpconsensus.gp import (
     domain_grid,
     estimate_lipschitz,
     make_bound_context,
+    shared_factor_means,
 )
 from gpconsensus.rng import SplitMix64
 from oracles import (
@@ -171,15 +172,18 @@ class TestPosterior:
             assert mu_g[k] == pytest.approx(mu, abs=1e-12)
             assert sigma_g[k] == pytest.approx(sigma, abs=1e-12)
 
-    def test_mean_is_bitwise_posterior_mean(self):
+    def test_shared_factor_means_are_bitwise_posterior_means(self):
         rng = SplitMix64(7004)
+        empty = [GpModel(BENCH_KERNEL, NOISE_STD) for _ in range(3)]
+        assert shared_factor_means(empty, np.array([0.2, -1.0, 1.5])).tolist() == [0.0] * 3
         model = GpModel(BENCH_KERNEL, NOISE_STD)
-        assert model.mean(0.2) == model.posterior(0.2)[0] == 0.0
         for _ in range(40):
             model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
+            models = [model] + [model.with_outputs(normals(rng, model.size)) for _ in range(3)]
             for _ in range(5):
-                q = rng.uniform(-1.5, 1.5)
-                assert model.mean(q) == model.posterior(q)[0]
+                qs = np.array([rng.uniform(-1.5, 1.5) for _ in models])
+                means = shared_factor_means(models, qs)
+                assert means.tolist() == [m.posterior(q)[0] for m, q in zip(models, qs.tolist())]
 
     def test_mean_grid_is_bitwise_posterior_grid_mean(self):
         rng = SplitMix64(7005)
@@ -289,6 +293,42 @@ class TestAddPoint:
             model.add_point(rng.uniform(-1.5, 1.5), rng.normal())
         assert model._chol.shape == (128, 128)
         assert model._alpha.shape == (65,)
+
+    def test_update_after_query_reuses_its_solve_bits(self):
+        # add_point at the point just queried takes the query's L^-1 k; a
+        # model whose query is forgotten solves it again, to the same bits
+        rng = SplitMix64(7010)
+        reused = GpModel(BENCH_KERNEL, NOISE_STD, max_points=300)
+        recomputed = GpModel(BENCH_KERNEL, NOISE_STD, max_points=300)
+        for _ in range(150):  # past the 64- and 128-point buffer regrowths
+            x, y = rng.uniform(-1.5, 1.5), rng.normal()
+            assert reused.posterior(x) == recomputed.posterior(x)
+            recomputed._query = None
+            reused.add_point(x, y)
+            recomputed.add_point(x, y)
+            assert np.array_equal(chol(reused), chol(recomputed))
+            assert np.array_equal(reused._alpha, recomputed._alpha)
+            assert reused.posterior(x) == recomputed.posterior(x)
+
+    def test_update_elsewhere_ignores_the_last_query(self):
+        rng = SplitMix64(7011)
+        xs = [rng.uniform(-1.5, 1.5) for _ in range(30)]
+        ys = normals(rng, 30)
+        model = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs[:20], ys[:20])
+        for x, y in zip(xs[20:], ys[20:]):
+            model.posterior(x + 0.01)
+            model.add_point(x, y)
+        batch = GpModel.from_data(BENCH_KERNEL, NOISE_STD, xs, ys)
+        assert np.allclose(chol(model), chol(batch), rtol=0.0, atol=1e-12)
+        # a query at the same x before the previous update is stale
+        x = rng.uniform(-1.5, 1.5)
+        model.posterior(x)
+        model.add_point(xs[0] + 0.5, 0.0)
+        model.add_point(x, 0.3)
+        fresh = GpModel.from_data(
+            BENCH_KERNEL, NOISE_STD, xs + [xs[0] + 0.5, x], list(ys) + [0.0, 0.3]
+        )
+        assert np.allclose(chol(model), chol(fresh), rtol=0.0, atol=1e-12)
 
     def test_jitter_ladder_recovers_duplicate_inputs(self):
         model = GpModel(BENCH_KERNEL, 1e-9)

@@ -24,10 +24,11 @@ from gpconsensus.engine import (
     LIP_GRID_STEP,
     _check_gamma,
     auxiliary_step_matrix,
+    init_state,
     prepare_run,
     rk4_step,
 )
-from gpconsensus.gp import GpModel, KernelParams, domain_grid
+from gpconsensus.gp import GpModel, KernelParams, domain_grid, shared_factor_means
 from gpconsensus.plants import (
     PlantSpec,
     drift,
@@ -36,6 +37,7 @@ from gpconsensus.plants import (
     make_sinusoidal_plant,
 )
 from gpconsensus.presets import case_preset
+from gpconsensus.rng import SplitMix64
 from gpconsensus.topology import build_topology
 from gpconsensus.triggers import MODES, evaluate_trigger
 from oracles import classify_agent, gamma_ok_every_model, laws_per_agent, rho_scalar
@@ -285,3 +287,22 @@ def test_gamma_check_equals_every_model_oracle(data, length_scale, noise, lip_f)
             writer.add_point(data.draw(st.floats(-1.5, 1.5)), data.draw(st.floats(-2.0, 2.0)))
     expected = gamma_ok_every_model(run.bound, models, GAMMA_GRID)
     assert _check_gamma(run, models, GAMMA_GRID) is expected
+
+
+@PROPERTY_SETTINGS
+@given(
+    size=st.sampled_from((0, 1, 150)),
+    length_scale=st.sampled_from((0.02, 0.05, 0.3)),
+    seed=st.integers(0, 2**32 - 1),
+    xs=st.lists(STATE, min_size=4, max_size=4),
+)
+def test_kernel_block_means_equal_posterior_means(size, length_scale, seed, xs):
+    # the offline agents of a run share one memoised factor of 0, 1 or 150
+    # points; the block's means have the bits of one posterior per agent
+    cfg = replace(
+        case_preset("c"), offline_dataset_size=size, length_scale=length_scale, seed=seed
+    )
+    run = prepare_run(cfg)
+    models = init_state(run, SplitMix64(seed)).models
+    means = shared_factor_means(models, np.array(xs))
+    assert means.tolist() == [model.posterior(x)[0] for model, x in zip(models, xs)]
