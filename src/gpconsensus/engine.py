@@ -49,7 +49,7 @@ from .plants import PlantSpec, drift, estimate_lip_f, make_plant, measure
 from .presets import apply_case
 from .rng import SplitMix64
 from .topology import Topology, build_topology
-from .triggers import evaluate_trigger
+from .triggers import evaluate_trigger, trigger_threshold
 
 LIP_GRID_STEP = 1e-3
 
@@ -334,20 +334,22 @@ def init_state(run: RunContext, rng: SplitMix64) -> SimState:
 
 
 def _query_triggers(
-    run: RunContext, models: list[GpModel], x: NDArray, x_bar: NDArray
+    run: RunContext, models: list[GpModel], x: NDArray, x_bar: NDArray, screen: bool = False
 ) -> tuple[NDArray, NDArray, NDArray]:
     """One posterior query per agent, then every trigger: (mu, eta, rho).
 
     eta = 2 sqrt(beta) sigma(x) is the bound of the models as passed in,
     so callers query before any update. This is the only place a trigger
     is evaluated: every step that needs eta and the terminal row go
-    through it.
+    through it. With screen set, each query gets its agent's threshold
+    and may return a certified upper bound on sigma in place of sigma
+    where that bound already keeps the trigger silent (``GpModel.posterior``):
+    every fire decision and mean is the same, while eta and rho of such
+    an agent are its bound's.
     """
-    mu, sigma = np.array([m.posterior(xi) for m, xi in zip(models, x.tolist())]).T
-    eta = 2.0 * run.root_beta * sigma
-    rho = evaluate_trigger(
-        run.trigger_mode,
-        eta,
+    mode = run.trigger_mode
+    threshold = trigger_threshold(
+        mode,
         x,
         x_bar,
         run.config.c,
@@ -355,19 +357,32 @@ def _query_triggers(
         run.bound.eta_bar_lower,
         run.epsilon,
     )
-    return mu, eta, rho
+    scale = 2.0 * run.root_beta
+    if screen:
+        post = [
+            m.posterior(xi, (scale, limit))
+            for m, xi, limit in zip(models, x.tolist(), threshold.tolist())
+        ]
+    else:
+        post = [m.posterior(xi) for m, xi in zip(models, x.tolist())]
+    mu, sigma = np.array(post).T
+    eta = scale * sigma
+    return mu, eta, evaluate_trigger(mode, eta, threshold)
 
 
 def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = True) -> StepInfo:
     """Advance one control period; returns this step's diagnostics.
 
     Each agent queries its model once. Where a trigger rule is active or
-    need_eta is set (the step is logged), that query is a full posterior
-    and yields both eta and f_hat, and a fired agent's update reuses its
-    solve. Otherwise learning is offline, so the models share one factor
-    or are all empty, and f_hat is one kernel block against it
+    need_eta is set (the step is logged), that query yields both eta and
+    f_hat, and a fired agent's update reuses its solve. On a logged step
+    it is a full posterior; on an unlogged one it is screened, so eta may
+    be a bound that proves the agent silent (``_query_triggers``).
+    Otherwise learning is offline, so the models share one factor or are
+    all empty, and f_hat is one kernel block against it
     (``gp.shared_factor_means``); eta and rho stay 0. A fired agent takes
-    f_hat from the post-update posterior that also gives sigma_after.
+    f_hat and sigma_after from the post-update posterior its update
+    returns.
     Raises OutOfDomain when a state leaves the plant domain or becomes
     non-finite.
     """
@@ -379,7 +394,9 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
     events: list[TriggerEvent] = []
 
     if need_eta or run.trigger_mode != "none":
-        mu, eta, rho = _query_triggers(run, state.models, x_snap, xb_snap)
+        mu, eta, rho = _query_triggers(
+            run, state.models, x_snap, xb_snap, screen=not need_eta
+        )
         fired_agents = [i for i, r in enumerate(rho.tolist()) if r > 0.0]
         for i in fired_agents:
             model = state.models[i]
@@ -389,8 +406,7 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
                 xdot = (x_snap[i] - state.x_prev[i]) / cfg.dt
             noise = rng.normal(0.0, cfg.sigma_n)
             y = measure(run.plant, x_snap[i], state.u_prev[i], xdot, noise)
-            model.add_point(x_snap[i], y)
-            mu[i], sigma_after = model.posterior(x_snap[i])
+            mu[i], sigma_after = model.add_point(x_snap[i], y)
             events.append(
                 TriggerEvent(
                     agent=i,

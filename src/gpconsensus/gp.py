@@ -57,8 +57,7 @@ def _kernel(params: KernelParams, xs: NDArray, q: float | NDArray) -> NDArray:
     """
     d = np.subtract.outer(xs, q)
     np.square(d, out=d)
-    np.negative(d, out=d)
-    np.divide(d, 2.0 * params.length_scale**2, out=d)
+    np.divide(d, -2.0 * params.length_scale**2, out=d)
     np.exp(d, out=d)
     np.multiply(d, params.sigma_f**2, out=d)
     return d
@@ -90,7 +89,13 @@ class GpModel:
         self._chol = np.zeros((cap, cap))
         self._alpha = np.zeros(0)
         self._m = 0
-        self._query: tuple[float, int, NDArray] | None = None
+        # the last query: x, dataset size, k(x) and L^-1 k(x) unless skipped
+        self._query: tuple[float, int, NDArray, NDArray | None] | None = None
+        self._screen = _screen_margins(kernel, self.noise_std, self.max_points)
+        # (x_a, s_a) with s_a >= the reference sd at x_a, see posterior
+        self._anchor: tuple[float, float] | None = None
+        # (size at build, first window index, transposed window factor or None)
+        self._window: tuple[int, int, NDArray | None] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -171,21 +176,43 @@ class GpModel:
 
     # -- queries ------------------------------------------------------
 
-    def posterior(self, x: float) -> tuple[float, float]:
+    def posterior(
+        self, x: float, screen: tuple[float, float] | None = None
+    ) -> tuple[float, float]:
         """Posterior mean and standard deviation at a scalar query point.
 
-        Keeps x, the dataset size and L^-1 k(x), which ``add_point`` at the
-        same x and size reuses.
+        Keeps x, the dataset size, k(x) and L^-1 k(x), which ``add_point``
+        at the same x and size reuses.
+
+        With screen = (scale, limit), a model of at least _SCREEN_POINTS
+        points may skip its O(M^2) solve: where an upper bound s on the sd
+        the solve would give is found with scale * s <= limit, s is
+        returned in its place. A trigger with eta = scale * sd and that
+        limit as its threshold then cannot fire, as floating-point
+        multiplication by a positive scale is monotone. The mean is always
+        ``k(x) @ alpha``, with the bits of an unscreened query. The bound
+        comes first from the anchor, then from the window (see
+        ``_screen_margins``), whose factor is rebuilt on the newest
+        _WINDOW_POINTS samples only where it fails and the model did not
+        grow since its previous query: in a firing streak the full solve
+        is due anyway. A skipped solve cannot raise on a negative variance.
         """
         if self._m == 0:
             return 0.0, self.kernel.sigma_f
         m = self._m
         k = _kernel(self.kernel, self._x[:m], x)
         mu = float(k @ self._alpha)
+        if screen is not None and m >= _SCREEN_POINTS and self._screen is not None:
+            bound = self._sigma_bound(x, k, *screen)
+            if bound is not None:
+                self._query = (x, m, k, None)
+                return mu, bound
         v = self._solve_lower(k)
-        self._query = (x, m, v)
-        var = self.kernel.sigma_f**2 - float(v @ v)
-        return mu, math.sqrt(_clamp_var(var))
+        self._query = (x, m, k, v)
+        sigma = math.sqrt(_clamp_var(self.kernel.sigma_f**2 - float(v @ v)))
+        if self._screen is not None:
+            self._anchor = (x, self._screen.lift(sigma))
+        return mu, sigma
 
     def posterior_grid(self, xs, *, _kq: NDArray | None = None) -> tuple[NDArray, NDArray]:
         """Vectorized posterior over a query grid; returns (mu, sigma) arrays.
@@ -212,45 +239,114 @@ class GpModel:
 
     # -- updates ------------------------------------------------------
 
-    def add_point(self, x: float, y: float) -> "GpModel":
-        """Append one observation, extending the Cholesky factor by one row.
+    def add_point(self, x: float, y: float) -> tuple[float, float]:
+        """Append one observation; returns the posterior (mean, sd) at x after it.
 
-        The new row is L^-1 k(x). After ``posterior(x)`` at this dataset
-        size it is that query's solve, with the same bits: the factor only
-        grows, so its first m rows are those the query solved against.
+        The factor grows by one row, c = L^-1 k(x) and the pivot d. After
+        ``posterior(x)`` at this dataset size, c is that query's solve with
+        the same bits (the factor only grows, so its first m rows are those
+        the query solved against), and k(x) is that query's too. The new
+        kernel vector [k(x), sigma_f^2] has the bits of a fresh one, so the
+        mean is the bits of a fresh query. The new factor's solve at x is
+        [c, e] with e = (sigma_f^2 - c.c) / d, so the variance is
+        sigma_f^2 - (c.c + e^2) with no further solve; it is a
+        substitution in another order than a fresh query's and differs
+        from it in the last bits only.
         """
         if self._m >= self.max_points:
             raise CapacityExceeded(f"dataset already at cap {self.max_points}")
         m = self._m
         self._ensure_capacity(m + 1)
-        kxx = self.kernel.sigma_f**2 + self.noise_std**2
+        sigma_f2 = self.kernel.sigma_f**2
+        query = self._query
         if m == 0:
-            self._chol[0, 0] = math.sqrt(kxx)
+            k = c = np.zeros(0)
+        elif query is not None and query[0] == x and query[1] == m:
+            k, c = query[2], query[3]
         else:
-            query = self._query
-            if query is not None and query[0] == x and query[1] == m:
-                c = query[2]
+            k, c = _kernel(self.kernel, self._x[:m], x), None
+        if c is None:
+            c = self._solve_lower(k)
+        cc = float(c @ c)
+        d2 = sigma_f2 + self.noise_std**2 - cc
+        if d2 <= 0.0:
+            for jitter in JITTER_LADDER:
+                if d2 + jitter > 0.0:
+                    d2 += jitter
+                    break
             else:
-                c = self._solve_lower(_kernel(self.kernel, self._x[:m], x))
-            d2 = kxx - float(c @ c)
-            if d2 <= 0.0:
-                for jitter in JITTER_LADDER:
-                    if d2 + jitter > 0.0:
-                        d2 += jitter
-                        break
-                else:
-                    raise NumericalBreakdown(
-                        f"pivot {d2:.3e} not recoverable within jitter ladder"
-                    )
-            self._chol[m, :m] = c
-            self._chol[m, m] = math.sqrt(d2)
+                raise NumericalBreakdown(
+                    f"pivot {d2:.3e} not recoverable within jitter ladder"
+                )
+        d = math.sqrt(d2)
+        self._chol[m, :m] = c
+        self._chol[m, m] = d
         self._x[m] = x
         self._y[m] = y
         self._m = m + 1
         self._refresh_alpha()
-        return self
+        self._query = None
+        k_new = np.empty(m + 1)
+        k_new[:m] = k
+        k_new[m] = sigma_f2
+        e = (sigma_f2 - cc) / d
+        sigma = math.sqrt(_clamp_var(sigma_f2 - (cc + e * e)))
+        if self._screen is not None:
+            self._anchor = (x, self._screen.lift(sigma))
+        return float(k_new @ self._alpha), sigma
 
     # -- internals ----------------------------------------------------
+
+    def _sigma_bound(self, x: float, k: NDArray, scale: float, limit: float) -> float | None:
+        """An upper bound s on the sd a solve at x would give with
+        scale * s <= limit, from the anchor or the window, or None.
+
+        k is k(x) on the model's inputs. A bound on the reference sd at x
+        found on the way becomes the anchor.
+        """
+        screen = self._screen
+        x_a, s_a = self._anchor or (x, self.kernel.sigma_f)
+        s = screen.lift(s_a + screen.slope * abs(x - x_a))
+        if scale * s <= limit:
+            return s
+        s = self._window_bound(x, k)
+        if s is not None and scale * s <= limit:
+            return s
+        # rebuild the window on the newest points only if it lacks some
+        # and the model is quiet: a model that just grew is likely to fire
+        m, window, query = self._m, self._window, self._query
+        if (window is not None and window[0] == m) or query is None or query[1] != m:
+            return None
+        self._window = self._build_window()
+        s = self._window_bound(x, k)
+        return s if s is not None and scale * s <= limit else None
+
+    def _window_bound(self, x: float, k: NDArray) -> float | None:
+        """lift(lift(sigma_w)) at the point whose k(x) is k, or None without a
+        usable window; lift(sigma_w), a bound on the reference sd there,
+        becomes the anchor."""
+        if self._window is None or self._window[2] is None:
+            return None
+        m_w, j0, lw_t = self._window
+        v, info = lapack.dtrtrs(lw_t, k[j0:m_w], lower=0, trans=1)
+        if info != 0:
+            return None
+        screen = self._screen
+        s_ref = screen.lift(math.sqrt(max(self.kernel.sigma_f**2 - float(v @ v), 0.0)))
+        self._anchor = (x, s_ref)
+        return screen.lift(s_ref)
+
+    def _build_window(self) -> tuple[int, int, NDArray | None]:
+        """The window of the newest _WINDOW_POINTS inputs: its Cholesky factor
+        at the window noise of ``_screen_margins``, transposed for dtrtrs."""
+        m = self._m
+        j0 = max(0, m - _WINDOW_POINTS)
+        gram = _kernel(self.kernel, self._x[j0:m], self._x[j0:m])
+        gram[np.diag_indices(m - j0)] += self._screen.window_noise
+        try:
+            return m, j0, np.linalg.cholesky(gram).T
+        except np.linalg.LinAlgError:
+            return m, j0, None
 
     def _solve_lower(self, b: NDArray, transposed: bool = False) -> NDArray:
         """L^-1 b, or L^-T b if transposed, for the live factor L, in place.
@@ -290,8 +386,93 @@ class GpModel:
 # grid points whose sigma is solved before the end-of-run grid solve
 _PROBE_POINTS = 16
 
+# dataset size from which a screened query may skip its solve (see the
+# measured table in CHANGES.md): below it the solve is cheap and the
+# screen's window rebuilds cost more than they save
+_SCREEN_POINTS = 200
+
+# newest samples whose exact posterior bounds a screened query's sd
+_WINDOW_POINTS = 32
+
 # unit roundoff of IEEE double precision
 _UNIT_ROUNDOFF = 2.0**-53
+
+
+@dataclass(frozen=True)
+class _Screen:
+    """The constants of a model's screening bounds (``_screen_margins``)."""
+
+    lam: float
+    a2: float
+    window_noise: float
+    slope: float
+
+    def lift(self, s: float) -> float:
+        """sqrt(lam (s^2 + a2)): moves an sd bound between the computed and
+        the reference sd."""
+        return math.sqrt(self.lam * (s * s + self.a2))
+
+
+def _screen_margins(kernel: KernelParams, noise_std: float, max_points: int) -> _Screen | None:
+    """The constants that make a screened query's bound exact, or None.
+
+    The bounds are stated for a reference sd sigma*(x): the exact posterior
+    sd of the exact kernel on the model's inputs at noise variance s^2 =
+    sigma_n^2 + J + e, where J is the largest jitter of JITTER_LADDER,
+    e = 16 M^2 u d with M = max_points, u the unit roundoff and d =
+    sigma_f^2 + sigma_n^2 + J. s^2 is fixed for the model's life, so two
+    facts of exact GP regression hold for sigma* (Rasmussen & Williams,
+    *GPML*, 2006, ch. 2): adding an input never raises it, and it is
+    (sigma_f / l)-Lipschitz, because |sigma*(x) - sigma*(x')| is at most
+    the posterior, and so the prior, sd of f(x) - f(x'), which is
+    sigma_f sqrt(2 - 2 k(x, x') / sigma_f^2) <= sigma_f |x - x'| / l.
+
+    A computed sd sigma_c of any substitution against the model's factor L
+    is within ``_Screen.lift`` of sigma*, both ways: sigma_c <=
+    lift(sigma*) and sigma* <= lift(sigma_c). The factor, row by row or in
+    one batch at any blocking or thread count, is exact for K + sigma_n^2
+    I + D + E_f, with 0 <= D <= J I the jitter and |E_f| <= (m+1) u d
+    entrywise (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., Thm 10.3, with |L||L|^T <= d entrywise by Cauchy-Schwarz);
+    the solve is exact for L L^T + E_s, |E_s| <= 2 m u d entrywise
+    (Thm 8.5); kernel entries are within 4 u sigma_f^2 of exact. So the
+    computed variance before its last roundings is the Schur complement of
+    a joint matrix that differs from the exact one at noise sigma_n^2 + D
+    by at most 8 m^2 u d in norm in the data block, and by g = 4 sqrt(m) u
+    sigma_f^2 in the cross terms. The Schur complement is monotone in the
+    PSD order, so the variance lies between V(sigma_n^2 - e) - g and
+    V(s^2) + g, V(t) being the exact posterior variance at noise t. As
+    V(c t) <= c V(t) for c >= 1 (put the weights optimal at t into the
+    error at c t), and summing the squares moves the variance by at most
+    2 m u sigma_f^2, lam = s^2 / (sigma_n^2 - e) and a2 = 8 (M + 1) u
+    sigma_f^2 suffice; the factor (1 + 16 u) in lam covers rounding the
+    bound arithmetic itself.
+
+    The window is the newest _WINDOW_POINTS inputs, factored at noise
+    window_noise = s^2 + 16 K^2 u d for its K points. Dropping inputs
+    never lowers an exact posterior variance, so by the same argument the
+    window's computed sd sigma_w gives sigma*(x) <= lift(sigma_w). A
+    window built at an earlier size still bounds sigma*, because its
+    points are still data. None of these bounds depends on the order of
+    any sum, so they hold at any BLAS thread count.
+
+    None when e > sigma_n^2 / 4, where these first-order margins stop
+    being small.
+    """
+    u = _UNIT_ROUNDOFF
+    noise_var = noise_std**2
+    sigma_f2 = kernel.sigma_f**2
+    d = sigma_f2 + noise_var + JITTER_LADDER[-1]
+    e = 16.0 * max_points**2 * u * d
+    if e > 0.25 * noise_var:
+        return None
+    s2 = noise_var + JITTER_LADDER[-1] + e
+    return _Screen(
+        lam=s2 / (noise_var - e) * (1.0 + 16.0 * u),
+        a2=8.0 * (max_points + 1) * u * sigma_f2,
+        window_noise=s2 + 16.0 * _WINDOW_POINTS**2 * u * d,
+        slope=kernel.sigma_f / kernel.length_scale,
+    )
 
 
 def shared_factor_means(models: list[GpModel], xs: NDArray) -> NDArray:

@@ -13,7 +13,6 @@ from scipy.linalg import solve_triangular
 
 from gpconsensus.errors import InvalidParam, OutOfDomain
 from gpconsensus.gp import check_gamma_condition, estimate_lipschitz
-from gpconsensus.triggers import rho_proposed, rho_relaxed
 
 
 def solve_dense(a, b):
@@ -131,6 +130,25 @@ def laws_per_agent(topology, plant, c, c_bar, x, x_bar, f_hat):
         conventional.append(control_conventional_agent(plant, c, xi, nx, fi))
         proposed.append(control_proposed_agent(plant, c, xi, xbi, nx, nxb, fi, rate))
     return rates, conventional, proposed
+
+
+def rho_proposed(eta, x, x_bar, c, n_agents, eta_bar_lower):
+    """Disagreement-aware trigger value, as one expression:
+    rho = eta - max{ c|x - x_bar| - sqrt(N-1) eta_bar, eta_bar }."""
+    gap = c * np.abs(x - x_bar) - math.sqrt(n_agents - 1) * eta_bar_lower
+    return eta - np.maximum(gap, eta_bar_lower)
+
+
+def rho_naive(eta, eta_bar_lower):
+    """Always-learn trigger value: rho = eta - eta_bar."""
+    return eta - eta_bar_lower
+
+
+def rho_relaxed(eta, x, x_bar, c, n_agents, eta_bar_lower, epsilon):
+    """Relaxed trigger value, as one expression:
+    rho = eta - ( (1/c) max{|x - x_bar| - epsilon/sqrt(N), 0} + eta_bar )."""
+    slack = np.maximum(np.abs(x - x_bar) - epsilon / math.sqrt(n_agents), 0.0) / c
+    return eta - (slack + eta_bar_lower)
 
 
 def rho_scalar(mode, eta, x, x_bar, c, n_agents, eta_bar, epsilon):

@@ -42,7 +42,7 @@ from gpconsensus.reporting import (
     write_trajectory_csv,
 )
 from gpconsensus.rng import SplitMix64
-from gpconsensus.triggers import evaluate_trigger
+from gpconsensus.triggers import evaluate_trigger, trigger_threshold
 
 EPSILON_STOCK = 0.7811886579452005
 ETA_BAR_STOCK = 0.09764858224315007
@@ -253,7 +253,9 @@ def test_criterion_08_trigger_partition_fuzz():
         x = rng.uniform(-1.5, 1.5)
         x_bar = rng.uniform(-1.5, 1.5)
         eta = rng.uniform(0.0, 3.0)
-        rho = evaluate_trigger("proposed", eta, x, x_bar, 1.0, 4, eta_bar)
+        rho = evaluate_trigger(
+            "proposed", eta, trigger_threshold("proposed", x, x_bar, 1.0, 4, eta_bar)
+        )
         region = classify_agent(eta, x, x_bar, 1.0, 4, eta_bar)
         counts[region] += 1
         if rho > 0.0:

@@ -364,9 +364,12 @@ class TestStep:
         assert abs(info.u[0] + f_here) <= 0.05
 
     def test_fired_update_reuses_the_trigger_query(self, monkeypatch):
-        # against updates that forget the query and solve it again, each
-        # event on a nonempty model saves exactly one kernel vector and one
-        # triangular solve (a first point needs neither)
+        # a query on a nonempty model is one kernel vector and one
+        # triangular solve; an event adds only the two solves of its new
+        # weights, since its factor row is the query's solve and its
+        # post-update posterior needs neither a kernel vector nor a solve.
+        # An update that forgets the query solves it again (a first point
+        # needs neither), to the same bits
         cfg = dataclasses.replace(case_preset("d"), t_end=0.05)
         counts = count_kernels_and_solves(monkeypatch)
         add_point = GpModel.add_point
@@ -381,19 +384,22 @@ class TestStep:
             state = init_state(run, rng)
             rows = []
             for _ in range(int(round(cfg.t_end / cfg.dt))):
+                queried = sum(model.size > 0 for model in state.models)
                 counts.update(kernel=0, solve=0)
                 info = step(state, run, rng)
                 grown = sum(state.models[ev.agent].size > 1 for ev in info.events)
-                rows.append((counts["kernel"], counts["solve"], grown))
+                rows.append((counts["kernel"], counts["solve"], queried, len(info.events), grown))
             return rows, state
 
         reused, reused_state = steps()
         monkeypatch.setattr(GpModel, "add_point", forgetting_add_point)
         recomputed, recomputed_state = steps()
-        assert sum(events for _, _, events in reused) >= 8
-        for (k, s, events), (k_old, s_old, events_old) in zip(reused, recomputed):
+        assert sum(row[3] for row in reused) >= 8
+        for (k, s, *events), (k_old, s_old, *events_old) in zip(reused, recomputed):
+            queried, fired, grown = events
             assert events == events_old
-            assert (k, s) == (k_old - events, s_old - events)
+            assert (k, s) == (queried, queried + 2 * fired)
+            assert (k_old, s_old) == (k + grown, s + grown)
         assert reused_state.x.tobytes() == recomputed_state.x.tobytes()
         for model, old in zip(reused_state.models, recomputed_state.models):
             assert chol(model).tobytes() == chol(old).tobytes()
@@ -497,9 +503,9 @@ class TestPosteriorQueries:
         counts = {"posterior": 0, "grid": 0, "probe": 0}
         posterior = GpModel.posterior
 
-        def counting(self, x):
+        def counting(self, x, *args):
             counts["posterior"] += 1
-            return posterior(self, x)
+            return posterior(self, x, *args)
 
         monkeypatch.setattr(GpModel, "posterior", counting)
         count_grid_solves(monkeypatch, counts)
@@ -516,13 +522,13 @@ class TestPosteriorQueries:
         assert summary.gamma_ok
         assert (calls["probe"], calls["grid"]) == (1, 1)
 
-    def test_online_queries_once_per_agent_step_plus_events(self, calls):
+    def test_online_queries_once_per_agent_step(self, calls):
+        # an event takes its post-update posterior from the update itself
         cfg = dataclasses.replace(case_preset("d"), t_end=0.1)
         traj, summary = run_episode(cfg)
         assert summary.events
         n_steps = 100
-        expected = cfg.n_agents * (n_steps + 1) + len(summary.events)
-        assert calls["posterior"] == expected
+        assert calls["posterior"] == cfg.n_agents * (n_steps + 1)
         # agent 1's probe already proves the gamma condition broken
         assert not summary.gamma_ok
         assert (calls["probe"], calls["grid"]) == (1, 0)

@@ -120,6 +120,18 @@ class TestKernel:
             assert got.shape == (xs.size, q.size)
             assert got.tobytes() == kernel_matrix_reference(params, xs, q).tobytes()
 
+    # the one divide by -2 l^2 has the bits of a negate and a divide by 2 l^2
+    @pytest.mark.parametrize("sigma_f", [0.7, 1.0, 2.3])
+    @pytest.mark.parametrize("length_scale", [0.02, 0.05, 0.3, 1.7])
+    def test_one_divide_keeps_the_former_bits(self, length_scale, sigma_f):
+        params = KernelParams(sigma_f=sigma_f, length_scale=length_scale)
+        rng = SplitMix64(7062)
+        xs = np.array([rng.uniform(-1.5, 1.5) for _ in range(300)])
+        grid = domain_grid(-1.5, 1.5, 1e-3)
+        assert _kernel(params, xs, grid).tobytes() == kernel_matrix_reference(params, xs, grid).tobytes()
+        for x in xs[:50].tolist():
+            assert _kernel(params, xs, x).tobytes() == kernel_vec_reference(params, xs, x).tobytes()
+
     def test_matrix_built_in_place(self):
         # the former expression peaked at 3x its result through temporaries
         xs = np.linspace(-1.5, 1.5, 1000)
@@ -295,8 +307,10 @@ class TestAddPoint:
         assert model._alpha.shape == (65,)
 
     def test_update_after_query_reuses_its_solve_bits(self):
-        # add_point at the point just queried takes the query's L^-1 k; a
-        # model whose query is forgotten solves it again, to the same bits
+        # add_point at the point just queried takes the query's k and
+        # L^-1 k; a model whose query is forgotten builds and solves them
+        # again, to the same bits, and returns the same post-update
+        # posterior (its closed form is checked in test_screening)
         rng = SplitMix64(7010)
         reused = GpModel(BENCH_KERNEL, NOISE_STD, max_points=300)
         recomputed = GpModel(BENCH_KERNEL, NOISE_STD, max_points=300)
@@ -304,8 +318,7 @@ class TestAddPoint:
             x, y = rng.uniform(-1.5, 1.5), rng.normal()
             assert reused.posterior(x) == recomputed.posterior(x)
             recomputed._query = None
-            reused.add_point(x, y)
-            recomputed.add_point(x, y)
+            assert reused.add_point(x, y) == recomputed.add_point(x, y)
             assert np.array_equal(chol(reused), chol(recomputed))
             assert np.array_equal(reused._alpha, recomputed._alpha)
             assert reused.posterior(x) == recomputed.posterior(x)

@@ -39,8 +39,16 @@ from gpconsensus.plants import (
 from gpconsensus.presets import case_preset
 from gpconsensus.rng import SplitMix64
 from gpconsensus.topology import build_topology
-from gpconsensus.triggers import MODES, evaluate_trigger
-from oracles import classify_agent, gamma_ok_every_model, laws_per_agent, rho_scalar
+from gpconsensus.triggers import MODES, evaluate_trigger, trigger_threshold
+from oracles import (
+    classify_agent,
+    gamma_ok_every_model,
+    laws_per_agent,
+    rho_naive,
+    rho_proposed,
+    rho_relaxed,
+    rho_scalar,
+)
 from oracles import rk4_step as rk4_step_oracle
 
 PROPERTY_SETTINGS = settings(
@@ -196,12 +204,41 @@ def test_array_rho_equals_scalar_formula(data, c, eta_bar, epsilon):
     x, x_bar = data.draw(vec), data.draw(vec)
     eta = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n).map(np.array))
     for mode in MODES:
-        rho = evaluate_trigger(mode, eta, x, x_bar, c, n, eta_bar, epsilon)
+        rho = evaluate_trigger(
+            mode, eta, trigger_threshold(mode, x, x_bar, c, n, eta_bar, epsilon)
+        )
         expected = [
             rho_scalar(mode, float(e), float(xi), float(xbi), c, n, eta_bar, epsilon)
             for e, xi, xbi in zip(eta, x, x_bar)
         ]
         assert rho.tolist() == expected
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    c=st.floats(0.1, 5.0),
+    eta_bar=ETA_BAR,
+    epsilon=st.floats(1e-3, 3.0),
+)
+def test_eta_minus_threshold_has_the_rho_expression_bits(data, c, eta_bar, epsilon):
+    # each rule's threshold gives rho = eta - threshold with the bits of
+    # the rule's own one-expression rho, on agent arrays and on scalars
+    n = data.draw(st.integers(1, 9))
+    vec = st.lists(STATE, min_size=n, max_size=n).map(np.array)
+    x, x_bar = data.draw(vec), data.draw(vec)
+    eta = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n).map(np.array))
+    rules = {
+        "proposed": lambda e, xi, xbi: rho_proposed(e, xi, xbi, c, n, eta_bar),
+        "naive": lambda e, xi, xbi: rho_naive(e, eta_bar),
+        "relaxed": lambda e, xi, xbi: rho_relaxed(e, xi, xbi, c, n, eta_bar, epsilon),
+    }
+    for mode, rule in rules.items():
+        got = eta - trigger_threshold(mode, x, x_bar, c, n, eta_bar, epsilon)
+        assert got.tobytes() == rule(eta, x, x_bar).tobytes()
+        for e, xi, xbi in zip(eta.tolist(), x.tolist(), x_bar.tolist()):
+            one = e - trigger_threshold(mode, xi, xbi, c, n, eta_bar, epsilon)
+            assert np.float64(one).tobytes() == np.float64(rule(e, xi, xbi)).tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -216,7 +253,8 @@ def test_array_rho_equals_scalar_formula(data, c, eta_bar, epsilon):
 def test_trigger_partition(eta, x, x_bar, c, n_agents, eta_bar):
     region = classify_agent(eta, x, x_bar, c, n_agents, eta_bar)
     gap = c * abs(x - x_bar)
-    fires = evaluate_trigger("proposed", eta, x, x_bar, c, n_agents, eta_bar) > 0.0
+    threshold = trigger_threshold("proposed", x, x_bar, c, n_agents, eta_bar)
+    fires = evaluate_trigger("proposed", eta, threshold) > 0.0
     if gap <= (math.sqrt(n_agents - 1) + 1.0) * eta_bar:
         assert region == "S1"
         if not fires:

@@ -8,13 +8,8 @@ import pytest
 from gpconsensus.errors import InvalidParam
 from gpconsensus.gp import GpModel, KernelParams, make_bound_context
 from gpconsensus.rng import SplitMix64
-from gpconsensus.triggers import (
-    evaluate_trigger,
-    rho_naive,
-    rho_proposed,
-    rho_relaxed,
-)
-from oracles import classify_agent, error_bound
+from gpconsensus.triggers import evaluate_trigger, trigger_threshold
+from oracles import classify_agent, error_bound, rho_naive, rho_proposed, rho_relaxed
 
 ETA_BAR = 0.09764858224315007  # 2 sqrt(beta) sigma_n for the benchmark bound
 EPSILON = 0.7811886579452005  # 2 N eta_bar / c with c=1, N=4
@@ -27,7 +22,8 @@ class TestRhoProposed:
         for xt in (0.0, 0.05, 0.2):
             rho = rho_proposed(ETA_BAR, xt, 0.0, 1.0, 4, ETA_BAR)
             assert rho == pytest.approx(0.0, abs=VAL_TOL)
-            assert not evaluate_trigger("proposed", ETA_BAR, xt, 0.0, 1.0, 4, ETA_BAR) > 0.0
+            threshold = trigger_threshold("proposed", xt, 0.0, 1.0, 4, ETA_BAR)
+            assert not evaluate_trigger("proposed", ETA_BAR, threshold) > 0.0
 
     def test_small_disagreement_fires_on_loose_bound(self):
         rho = rho_proposed(0.2, 0.05, 0.0, 1.0, 4, ETA_BAR)
@@ -112,27 +108,29 @@ class TestEvaluateTrigger:
             "relaxed": lambda e, xi, xbi: rho_relaxed(e, xi, xbi, 1.0, 4, ETA_BAR, EPSILON),
         }
         for mode, rule in rules.items():
-            rho = evaluate_trigger(mode, eta, x, xb, 1.0, 4, ETA_BAR, EPSILON)
+            threshold = trigger_threshold(mode, x, xb, 1.0, 4, ETA_BAR, EPSILON)
+            rho = evaluate_trigger(mode, eta, threshold)
             assert rho.shape == eta.shape
             assert rho.tolist() == [rule(*s) for s in states]
             assert np.array_equal(rho > 0.0, [rule(*s) > 0.0 for s in states])
 
     def test_none_mode_never_fires(self):
-        rho = evaluate_trigger("none", 99.0, 1.0, 0.0, 1.0, 4, ETA_BAR)
+        threshold = trigger_threshold("none", 1.0, 0.0, 1.0, 4, ETA_BAR)
+        rho = evaluate_trigger("none", 99.0, threshold)
         assert not rho > 0.0
         assert rho == 0.0
-        rho = evaluate_trigger(
-            "none", np.full(4, 99.0), np.ones(4), np.zeros(4), 1.0, 4, ETA_BAR
-        )
+        threshold = trigger_threshold("none", np.ones(4), np.zeros(4), 1.0, 4, ETA_BAR)
+        assert threshold.tolist() == [math.inf] * 4
+        rho = evaluate_trigger("none", np.full(4, 99.0), threshold)
         assert rho.tolist() == [0.0] * 4
 
     def test_relaxed_needs_epsilon(self):
         with pytest.raises(InvalidParam):
-            evaluate_trigger("relaxed", 0.5, 0.1, 0.0, 1.0, 4, ETA_BAR)
+            trigger_threshold("relaxed", 0.1, 0.0, 1.0, 4, ETA_BAR)
 
     def test_unknown_mode(self):
         with pytest.raises(InvalidParam):
-            evaluate_trigger("eager", 0.5, 0.1, 0.0, 1.0, 4, ETA_BAR)
+            trigger_threshold("eager", 0.1, 0.0, 1.0, 4, ETA_BAR)
 
 
 class TestClassifyAgent:
@@ -181,7 +179,9 @@ class TestPartitionProperties:
             xt = rng.uniform(-threshold, threshold)  # c = 1: S1 region
             eta = rng.uniform(0.0, 10.0)
             x = rng.uniform(-1.5, 1.5)
-            rho = evaluate_trigger("proposed", eta, x, x - xt, 1.0, 4, eta_bar)
+            rho = evaluate_trigger(
+                "proposed", eta, trigger_threshold("proposed", x, x - xt, 1.0, 4, eta_bar)
+            )
             if rho > 0.0:
                 model = GpModel(self.KERNEL, self.NOISE_STD, max_points=1)
                 model.add_point(x, rng.normal())
