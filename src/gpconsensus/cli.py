@@ -32,6 +32,7 @@ from .errors import (
 )
 from .presets import CASE_IDS, apply_case, case_preset
 from .reporting import (
+    bound_meta,
     build_meta,
     fmt_bool,
     fmt_float,
@@ -104,11 +105,7 @@ def cmd_montecarlo(args) -> int:
         "cases": ",".join(cases),
         "runs": args.runs,
         "base_seed": base.seed,
-        "delta": probe.bound.delta,
-        "tau": probe.bound.tau,
-        "beta": probe.bound.beta,
-        "eta_bar": probe.bound.eta_bar_lower,
-        "epsilon": probe.epsilon,
+        **bound_meta(probe.bound, probe.epsilon),
         "config": probe.digest,
         "source": git_describe(),
     }

@@ -175,8 +175,6 @@ def _format_value(name: str, value) -> str:
         return "sample" if value is None else ", ".join(repr(float(v)) for v in value)
     if name == "lip_f":
         return "auto" if value is None else repr(float(value))
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -42,7 +42,6 @@ from .gp import (
     check_gamma_condition,
     domain_grid,
     estimate_lipschitz,
-    make_bound_context,
     shared_factor_means,
 )
 from .plants import PlantSpec, drift, estimate_lip_f, make_plant, measure
@@ -129,7 +128,6 @@ class RunContext:
     bound: BoundContext
     trigger_mode: str
     epsilon: float
-    root_beta: float
     digest: str
     x_bar_step: NDArray = field(repr=False, compare=False)
 
@@ -228,7 +226,7 @@ def prepare_run(config: SimConfig) -> RunContext:
         if config.lip_f is not None
         else _auto_lip_f(config.plant, config.plant_params)
     )
-    bound = make_bound_context(
+    bound = BoundContext(
         delta=config.delta,
         tau=config.tau,
         domain_lo=plant.domain_lo,
@@ -245,7 +243,6 @@ def prepare_run(config: SimConfig) -> RunContext:
         bound=bound,
         trigger_mode=TRIGGER_FOR_LEARNING[config.learning],
         epsilon=epsilon_bound(gains, config.n_agents, bound.eta_bar_lower),
-        root_beta=math.sqrt(bound.beta),
         digest=config_hash(config),
         x_bar_step=auxiliary_step_matrix(topology.laplacian, config.c_bar, config.dt),
     )
@@ -288,17 +285,6 @@ class StepInfo:
     events: tuple[TriggerEvent, ...]
 
 
-def make_offline_dataset(
-    plant: PlantSpec, size: int, sigma_n: float, rng: SplitMix64
-) -> tuple[NDArray, NDArray]:
-    """Noisy samples (xs, ys) of the hidden term on a uniform grid over the domain."""
-    if size < 0:
-        raise GpConsensusError(f"offline dataset size must be >= 0, got {size}")
-    xs = np.linspace(plant.domain_lo, plant.domain_hi, size)
-    ys = np.array([plant.f_true(x) + rng.normal(0.0, sigma_n) for x in xs.tolist()])
-    return xs, ys
-
-
 def init_state(run: RunContext, rng: SplitMix64) -> SimState:
     """Draw initial conditions and offline datasets; x_bar starts at x."""
     cfg = run.config
@@ -309,14 +295,14 @@ def init_state(run: RunContext, rng: SplitMix64) -> SimState:
         x = np.array(
             [rng.uniform(run.plant.domain_lo, run.plant.domain_hi) for _ in range(n)]
         )
-    # every agent samples the same input grid, so all share one factor
+    # every agent samples the hidden term at the shared factor's inputs,
+    # so all share one factor; each draws its own noise, in agent order
     shared = _offline_factor(run)
     models: list[GpModel] = []
     for _ in range(n):
         if shared is not None:
-            _, ys = make_offline_dataset(
-                run.plant, cfg.offline_dataset_size, cfg.sigma_n, rng
-            )
+            xs = shared.model.inputs.tolist()
+            ys = [run.plant.f_true(x) + rng.normal(0.0, cfg.sigma_n) for x in xs]
             model = shared.model.with_outputs(ys)
         else:
             model = GpModel(run.kernel, cfg.sigma_n, max_points=cfg.max_points)
@@ -357,7 +343,7 @@ def _query_triggers(
         run.bound.eta_bar_lower,
         run.epsilon,
     )
-    scale = 2.0 * run.root_beta
+    scale = 2.0 * run.bound.root_beta
     if screen:
         post = [
             m.posterior(xi, (scale, limit))
@@ -484,10 +470,7 @@ class EpisodeSummary:
     max_dataset_size: tuple[int, ...]
     epsilon: float
     x_bar_star: float
-    beta: float
-    eta_bar_lower: float
-    delta: float
-    tau: float
+    bound: BoundContext
     domain_ok: bool
     gamma_ok: bool
     config_digest: str
@@ -610,10 +593,7 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
         max_dataset_size=tuple(m.size for m in state.models),
         epsilon=run.epsilon,
         x_bar_star=x_bar_star,
-        beta=run.bound.beta,
-        eta_bar_lower=run.bound.eta_bar_lower,
-        delta=cfg.delta,
-        tau=cfg.tau,
+        bound=run.bound,
         domain_ok=check_domain_containment(
             run.plant.domain_lo, run.plant.domain_hi, x_bar_star, run.epsilon
         ),

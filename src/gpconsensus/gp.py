@@ -17,7 +17,7 @@ expression of the Lipschitz-based validity (gamma) condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -429,7 +429,9 @@ def _screen_margins(kernel: KernelParams, noise_std: float, max_points: int) -> 
 
     A computed sd sigma_c of any substitution against the model's factor L
     is within ``_Screen.lift`` of sigma*, both ways: sigma_c <=
-    lift(sigma*) and sigma* <= lift(sigma_c). The factor, row by row or in
+    lift(sigma*) and sigma* <= lift(sigma_c). So one computed sd lifted
+    twice bounds another computed at the same point, as the end-of-run
+    probe (``_sigma_upper``) uses. The factor, row by row or in
     one batch at any blocking or thread count, is exact for K + sigma_n^2
     I + D + E_f, with 0 <= D <= J I the jitter and |E_f| <= (m+1) u d
     entrywise (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -506,41 +508,19 @@ def _sigma_upper(model: GpModel, q: NDArray, kq: NDArray) -> float | None:
     grid q. sigma is solved at the at most _PROBE_POINTS grid points
     nearest the model's inputs where those are densest, by
     ``posterior_grid`` on those columns of kq, so a negative variance there
-    still raises. None for an empty model, or when the margin below leaves
-    its first-order regime.
-
-    The margin covers the full solve rounding differently from the
-    probe, as dtrtrs on thousands of right-hand sides may block
-    differently from dtrtrs on 16. Substitution in any order is
-    componentwise backward stable (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., Thm 8.5): each solve is exact for a
-    factor L + dL with |dL| <= m u |L|, so it is the exact posterior for
-    the Gram matrix L L^T + E with |E| <= 2 m u |L| |L|^T. By
-    Cauchy-Schwarz on the rows of L, whose squared norms are the Gram
-    diagonal, that is at most 2 m u d entrywise, d = sigma_f^2 +
-    sigma_n^2 + the largest jitter, so ||E||_2 <= 2 m^2 u d. To first
-    order the variance moves by h^T E h with h = (L L^T)^-1 k, and
-    sigma_n^2 |h|^2 <= sigma^2 (the noise share of the posterior
-    variance), so every computed variance lies within rel * sigma^2 of
-    the exact one, rel = 2 m^2 u d / sigma_n^2, plus m u sigma_f^2 from
-    summing the squares. For rel <= 1/4 the full solve's sigma at a probe
-    point is then below (1 + 2 rel) sigma_probe + 2 sigma_f sqrt(m u),
-    and the slack between the two covers rounding this bound itself.
+    still raises. The probe and the full grid solve are two substitutions
+    against the model's factor, each within ``_Screen.lift`` of the
+    reference sd (``_screen_margins``) at any blocking or thread count, so
+    the full solve's sigma at the probe's smallest is at most
+    lift(lift(that smallest)). None for an empty model or one without
+    screen margins.
     """
-    m = model._m
-    if m == 0:
-        return None
-    sigma_f = model.kernel.sigma_f
-    noise_var = model.noise_std**2
-    d = sigma_f**2 + noise_var + JITTER_LADDER[-1]
-    rel = 2.0 * m * m * _UNIT_ROUNDOFF * d / noise_var
-    if rel > 0.25:
+    screen = model._screen
+    if model._m == 0 or screen is None:
         return None
     cols = _probe_columns(model, q)
     _, sigma = model.posterior_grid(q[cols], _kq=kq[:, cols])
-    return float(np.min(sigma)) * (1.0 + 2.0 * rel) + 2.0 * sigma_f * math.sqrt(
-        m * _UNIT_ROUNDOFF
-    )
+    return screen.lift(screen.lift(float(np.min(sigma))))
 
 
 def _probe_columns(model: GpModel, q: NDArray) -> NDArray:
@@ -602,54 +582,34 @@ def compute_beta(delta: float, tau: float, domain_lo: float, domain_hi: float) -
 
 @dataclass(frozen=True)
 class BoundContext:
-    """Frozen ingredients of the probabilistic uniform error bound.
+    """The probabilistic uniform error bound of one run, stated once.
 
-    eta_bar_lower is the post-update floor 2*sqrt(beta)*sigma_n: the
-    bound value attainable at a point right after observing it.
+    From its inputs it derives beta (``compute_beta``), root_beta =
+    sqrt(beta), and the post-update floor eta_bar_lower = 2 sqrt(beta)
+    sigma_n: the bound value attainable at a point right after observing
+    it. ``dataclasses.replace`` derives them again from the new inputs.
     """
 
     delta: float
     tau: float
-    beta: float
-    eta_bar_lower: float
-    lip_f: float
     domain_lo: float
     domain_hi: float
+    noise_std: float
+    lip_f: float
+    beta: float = field(init=False)
+    root_beta: float = field(init=False)
+    eta_bar_lower: float = field(init=False)
 
     def __post_init__(self):
-        expected = compute_beta(self.delta, self.tau, self.domain_lo, self.domain_hi)
-        if abs(self.beta - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise InvalidParam(
-                f"beta {self.beta} inconsistent with (delta, tau, domain): "
-                f"expected {expected}"
-            )
-        if not (self.eta_bar_lower > 0.0):
-            raise InvalidParam(f"eta_bar_lower must be > 0, got {self.eta_bar_lower}")
+        if not (self.noise_std > 0.0):
+            raise InvalidParam(f"noise_std must be > 0, got {self.noise_std}")
+        beta = compute_beta(self.delta, self.tau, self.domain_lo, self.domain_hi)
         if self.lip_f < 0.0:
             raise InvalidParam("lip_f must be >= 0")
-
-
-def make_bound_context(
-    delta: float,
-    tau: float,
-    domain_lo: float,
-    domain_hi: float,
-    noise_std: float,
-    lip_f: float,
-) -> BoundContext:
-    """Build a BoundContext, deriving beta and the post-update floor."""
-    if not (noise_std > 0.0):
-        raise InvalidParam(f"noise_std must be > 0, got {noise_std}")
-    beta = compute_beta(delta, tau, domain_lo, domain_hi)
-    return BoundContext(
-        delta=delta,
-        tau=tau,
-        beta=beta,
-        eta_bar_lower=2.0 * math.sqrt(beta) * noise_std,
-        lip_f=lip_f,
-        domain_lo=domain_lo,
-        domain_hi=domain_hi,
-    )
+        root_beta = math.sqrt(beta)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "root_beta", root_beta)
+        object.__setattr__(self, "eta_bar_lower", 2.0 * root_beta * self.noise_std)
 
 
 def domain_grid(domain_lo: float, domain_hi: float, grid_step: float) -> NDArray:
@@ -684,6 +644,5 @@ def check_gamma_condition(
     coarse for how sharp the posterior has become; the caller logs it but
     does not abort.
     """
-    root_beta = math.sqrt(ctx.beta)
-    gamma = (ctx.lip_f + lip_mu + root_beta * lip_sigma) * ctx.tau
-    return gamma <= root_beta * sigma_min
+    gamma = (ctx.lip_f + lip_mu + ctx.root_beta * lip_sigma) * ctx.tau
+    return gamma <= ctx.root_beta * sigma_min

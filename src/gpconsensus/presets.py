@@ -52,13 +52,7 @@ CASE_IDS = tuple(sorted(_CASE_FIELDS))
 
 def case_preset(case_id: str) -> SimConfig:
     """Full config for one of the four study cases."""
-    try:
-        fields = _CASE_FIELDS[case_id]
-    except KeyError:
-        raise InvalidParam(
-            f"unknown case {case_id!r}; expected one of {CASE_IDS}"
-        ) from None
-    return replace(_COMMON, case_label=case_id, **fields)
+    return apply_case(_COMMON, case_id)
 
 
 def apply_case(config: SimConfig, case_id: str) -> SimConfig:

@@ -20,6 +20,7 @@ import tempfile
 import numpy as np
 
 from .engine import EpisodeSummary, McRunRecord, McSummary, Trajectory
+from .gp import BoundContext
 
 
 def fmt_float(value: float) -> str:
@@ -82,16 +83,23 @@ def _meta_block(meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bound_meta(bound: BoundContext, epsilon: float) -> dict:
+    """The meta block's error-bound keys: the bound's inputs and what it derives."""
+    return {
+        "delta": bound.delta,
+        "tau": bound.tau,
+        "beta": bound.beta,
+        "eta_bar": bound.eta_bar_lower,
+        "epsilon": epsilon,
+    }
+
+
 def build_meta(summary: EpisodeSummary) -> dict:
     """Standard meta block for a single episode."""
     return {
         "case": summary.case_label or "custom",
         "seed": summary.seed,
-        "delta": summary.delta,
-        "tau": summary.tau,
-        "beta": summary.beta,
-        "eta_bar": summary.eta_bar_lower,
-        "epsilon": summary.epsilon,
+        **bound_meta(summary.bound, summary.epsilon),
         "x_bar_star": summary.x_bar_star,
         "domain_ok": summary.domain_ok,
         "gamma_ok": summary.gamma_ok,

@@ -29,10 +29,10 @@ from gpconsensus.analysis import appendix_solution
 from gpconsensus.config import SimConfig
 from gpconsensus.engine import run_episode, run_monte_carlo
 from gpconsensus.gp import (
+    BoundContext,
     GpModel,
     KernelParams,
     compute_beta,
-    make_bound_context,
 )
 from gpconsensus.presets import BENCH_INITIAL_STATES, case_preset
 from gpconsensus.reporting import (
@@ -237,7 +237,7 @@ def test_criterion_07_post_update_noise_floor(headline, mc, biased_pair):
 
 
 def test_criterion_08_trigger_partition_fuzz():
-    ctx = make_bound_context(
+    ctx = BoundContext(
         delta=0.01,
         tau=1e-3,
         domain_lo=-1.5,

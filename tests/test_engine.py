@@ -16,7 +16,6 @@ from gpconsensus.engine import (
     SimState,
     auxiliary_step_matrix,
     init_state,
-    make_offline_dataset,
     prepare_run,
     rk4_step,
     run_episode,
@@ -134,35 +133,48 @@ class TestRk4Step:
         assert auxiliary_step_matrix(lap, 1.0, 1e-3).tolist() == [[0.0]]
 
 
+def offline_run(size, sigma_n=0.01):
+    return prepare_run(
+        dataclasses.replace(case_preset("a"), offline_dataset_size=size, sigma_n=sigma_n)
+    )
+
+
+def offline_inputs(size):
+    """The inputs of the memoised factor that every offline agent shares."""
+    return engine._offline_factor(offline_run(size)).model.inputs
+
+
 class TestOfflineDataset:
     def test_grid_spacing_and_endpoints(self):
-        plant = make_benchmark_plant()
-        xs, ys = make_offline_dataset(plant, 150, 0.0, SplitMix64(0))
-        assert xs.size == 150 and ys.size == 150
+        xs = offline_inputs(150)
+        assert xs.size == 150
         assert xs[0] == -1.5 and xs[-1] == 1.5
         assert np.allclose(np.diff(xs), 3.0 / 149.0, atol=1e-15)
 
     def test_two_points_are_the_endpoints(self):
-        plant = make_benchmark_plant()
-        xs, _ = make_offline_dataset(plant, 2, 0.0, SplitMix64(0))
-        assert xs.tolist() == [-1.5, 1.5]
+        assert offline_inputs(2).tolist() == [-1.5, 1.5]
 
     def test_zero_size_is_empty(self):
-        plant = make_benchmark_plant()
-        xs, ys = make_offline_dataset(plant, 0, 0.01, SplitMix64(0))
-        assert xs.size == 0 and ys.size == 0
+        run = offline_run(0)
+        assert engine._offline_factor(run) is None
+        assert [m.size for m in init_state(run, SplitMix64(0)).models] == [0] * 4
 
-    def test_zero_noise_hits_f_exactly(self):
+    def test_targets_are_f_plus_the_stream_draws(self):
+        # agent by agent, each target is f_true at its input plus the
+        # stream's next draw; the stock states draw nothing before them
+        run = offline_run(25)
         plant = make_benchmark_plant()
-        xs, ys = make_offline_dataset(plant, 25, 0.0, SplitMix64(7))
-        for x, y in zip(xs, ys):
-            assert abs(y - plant.f_true(x)) <= EXACT_TOL
+        models = init_state(run, SplitMix64(7)).models
+        rng = SplitMix64(7)
+        for model in models:
+            want = [plant.f_true(x) + rng.normal(0.0, 0.01) for x in model.inputs.tolist()]
+            assert model.outputs.tolist() == want
 
     def test_noise_is_reproducible(self):
-        plant = make_benchmark_plant()
-        _, a = make_offline_dataset(plant, 30, 0.01, SplitMix64(11))
-        _, b = make_offline_dataset(plant, 30, 0.01, SplitMix64(11))
-        assert a.tolist() == b.tolist()
+        run = offline_run(30)
+        a = [m.outputs.tolist() for m in init_state(run, SplitMix64(11)).models]
+        b = [m.outputs.tolist() for m in init_state(run, SplitMix64(11)).models]
+        assert a == b
 
     def test_agents_draw_independent_noise(self):
         run = prepare_run(case_preset("a"))
@@ -185,7 +197,7 @@ class TestPrepareRun:
         run = prepare_run(case_preset("d"))
         assert abs(run.epsilon - EPSILON_STOCK) <= EXACT_TOL
         assert abs(run.bound.beta - BETA_STOCK) <= EXACT_TOL
-        assert abs(run.root_beta**2 - run.bound.beta) <= 1e-12
+        assert abs(run.bound.root_beta**2 - run.bound.beta) <= 1e-12
 
     def test_auto_lipschitz_matches_grid_max(self):
         run = prepare_run(case_preset("d"))
@@ -625,10 +637,10 @@ class TestGammaCheck:
         cols = gp._probe_columns(model, grid)
         probe_min = float(model.posterior_grid(grid[cols])[1].min())
         assert probe_min < upper
-        lip_f = run.root_beta * (probe_min + upper) / 2.0 / run.bound.tau
+        lip_f = run.bound.root_beta * (probe_min + upper) / 2.0 / run.bound.tau
         tied = dataclasses.replace(run, bound=dataclasses.replace(run.bound, lip_f=lip_f))
         gamma_lo = lip_f * tied.bound.tau
-        assert run.root_beta * probe_min < gamma_lo <= run.root_beta * upper
+        assert run.bound.root_beta * probe_min < gamma_lo <= run.bound.root_beta * upper
         calls.update(grid=0, probe=0)
         assert engine._check_gamma(tied, [model], grid) is False
         assert (calls["probe"], calls["grid"]) == (1, 1)
@@ -768,7 +780,8 @@ class TestInitState:
         rng = SplitMix64(5)
         first = state.models[0]
         for i, model in enumerate(state.models):
-            xs, ys = make_offline_dataset(run.plant, cfg.offline_dataset_size, cfg.sigma_n, rng)
+            xs = np.linspace(run.plant.domain_lo, run.plant.domain_hi, cfg.offline_dataset_size)
+            ys = [run.plant.f_true(x) + rng.normal(0.0, cfg.sigma_n) for x in xs.tolist()]
             own = from_data(GpModel, run.kernel, cfg.sigma_n, xs, ys, max_points=cfg.max_points)
             assert model.same_factor(first)
             assert np.array_equal(chol(model), chol(own))

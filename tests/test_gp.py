@@ -1,5 +1,6 @@
 """Exact GP regression: posteriors, incremental updates, error bounds."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,7 +24,6 @@ from gpconsensus.gp import (
     compute_beta,
     domain_grid,
     estimate_lipschitz,
-    make_bound_context,
     shared_factor_means,
 )
 from gpconsensus.rng import SplitMix64
@@ -53,7 +53,7 @@ ETA_BAR_D01 = 0.09764858224315007  # 2 sqrt(beta) * 0.01
 
 
 def make_ctx(lip_f=0.0, delta=0.01, tau=1e-3):
-    return make_bound_context(
+    return BoundContext(
         delta=delta,
         tau=tau,
         domain_lo=-1.5,
@@ -603,18 +603,29 @@ class TestBoundContext:
         ctx = make_ctx()
         assert ctx.beta == pytest.approx(BETA_D01_T1E3, rel=1e-12)
         assert ctx.eta_bar_lower == pytest.approx(ETA_BAR_D01, rel=1e-12)
+        assert ctx.root_beta == math.sqrt(ctx.beta)
 
-    def test_inconsistent_beta_rejected(self):
+    def test_derived_values_are_not_inputs(self):
+        # beta, its root and the floor follow from the other fields only
+        with pytest.raises(TypeError):
+            BoundContext(0.01, 1e-3, -1.5, 1.5, NOISE_STD, 0.0, beta=10.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(make_ctx(), eta_bar_lower=1.0)
+
+    def test_replace_derives_again(self):
+        ctx = make_ctx()
+        wider = dataclasses.replace(ctx, noise_std=2.0 * NOISE_STD)
+        assert wider.beta == ctx.beta
+        assert wider.eta_bar_lower == 2.0 * math.sqrt(ctx.beta) * 2.0 * NOISE_STD
+        looser = dataclasses.replace(ctx, delta=0.1)
+        assert looser.beta == compute_beta(0.1, 1e-3, -1.5, 1.5)
+        assert looser.root_beta == math.sqrt(looser.beta)
+        assert looser.eta_bar_lower == 2.0 * math.sqrt(looser.beta) * NOISE_STD
+
+    @pytest.mark.parametrize("noise_std", [0.0, -0.01, math.nan])
+    def test_bad_noise_rejected(self, noise_std):
         with pytest.raises(InvalidParam):
-            BoundContext(
-                delta=0.01,
-                tau=1e-3,
-                beta=10.0,
-                eta_bar_lower=ETA_BAR_D01,
-                lip_f=0.0,
-                domain_lo=-1.5,
-                domain_hi=1.5,
-            )
+            dataclasses.replace(make_ctx(), noise_std=noise_std)
 
     def test_negative_lipschitz_rejected(self):
         with pytest.raises(InvalidParam):
@@ -712,7 +723,7 @@ class TestGammaCondition:
 
     def test_fails_for_huge_tau(self):
         model = GpModel(BENCH_KERNEL, NOISE_STD)
-        ctx = make_bound_context(
+        ctx = BoundContext(
             delta=0.01,
             tau=1e3,
             domain_lo=-1.5,

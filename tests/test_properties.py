@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gpconsensus import engine, gp
 from gpconsensus.control import (
     ControlGains,
     auxiliary_rate,
@@ -268,6 +269,29 @@ def test_trigger_partition(eta, x, x_bar, c, n_agents, eta_bar):
         assert gap * gap >= (eta * eta + (n_agents - 1) * eta_bar**2) * (1.0 - 1e-12)
 
 
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    c=st.floats(0.1, 10.0),
+    eta_bar=ETA_BAR,
+    epsilon=st.floats(1e-3, 3.0),
+)
+def test_every_rule_fires_only_where_naive_fires(data, c, eta_bar, epsilon):
+    # the naive threshold is the floor eta_bar, and the proposed and
+    # relaxed thresholds never fall below it, so on the same state and
+    # bounds neither fires where the naive rule stays silent
+    n = data.draw(st.integers(1, 9))
+    vec = st.lists(STATE, min_size=n, max_size=n).map(np.array)
+    x, x_bar = data.draw(vec), data.draw(vec)
+    eta = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n).map(np.array))
+    naive = evaluate_trigger("naive", eta, trigger_threshold("naive", x, x_bar, c, n, eta_bar))
+    for mode in ("proposed", "relaxed"):
+        threshold = trigger_threshold(mode, x, x_bar, c, n, eta_bar, epsilon)
+        assert np.all(threshold >= eta_bar)
+        fires = evaluate_trigger(mode, eta, threshold) > 0.0
+        assert not np.any(fires & ~(naive > 0.0))
+
+
 GAMMA_RUN = prepare_run(case_preset("c"))
 GAMMA_GRID = domain_grid(GAMMA_RUN.plant.domain_lo, GAMMA_RUN.plant.domain_hi, LIP_GRID_STEP)
 
@@ -325,6 +349,59 @@ def test_gamma_check_equals_every_model_oracle(data, length_scale, noise, lip_f)
             writer.add_point(data.draw(st.floats(-1.5, 1.5)), data.draw(st.floats(-2.0, 2.0)))
     expected = gamma_ok_every_model(run.bound, models, GAMMA_GRID)
     assert _check_gamma(run, models, GAMMA_GRID) is expected
+
+
+@st.composite
+def probed_models(draw):
+    """A batch or online model of at most 60 points, an online one whose
+    pivots took jitter, or the memoised offline factor at 1-300 points, on
+    a random kernel and noise."""
+    length_scale = draw(st.sampled_from((0.02, 0.05, 0.3)))
+    noise = draw(st.sampled_from((0.01, 0.05)))
+    kind = draw(st.sampled_from(("model", "jittered", "memo")))
+    if kind == "memo":
+        size = draw(st.integers(1, 300))
+        cfg = replace(
+            case_preset("c"), offline_dataset_size=size, length_scale=length_scale, sigma_n=noise
+        )
+        return engine._offline_factor(prepare_run(cfg)).model
+    kernel = KernelParams(sigma_f=1.0, length_scale=length_scale)
+    if kind == "model":
+        return draw(gp_models(kernel, noise))
+    # pivots that took the ladder's largest jitter, as add_point adds it
+    every = draw(st.integers(1, 7))
+    xs = draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=60))
+    model = GpModel(kernel, noise)
+    for i, x in enumerate(xs):
+        model.add_point(x, draw(st.floats(-2.0, 2.0)))
+        if i % every == 0:
+            model._chol[i, i] = math.sqrt(model._chol[i, i] ** 2 + gp.JITTER_LADDER[-1])
+            model._refresh_alpha()
+    return model
+
+
+def assert_probe_bounds_the_grid_minimum(model):
+    kq = gp._kernel(model.kernel, model.inputs, GAMMA_GRID)
+    upper = gp._sigma_upper(model, GAMMA_GRID, kq)
+    if model.size == 0:
+        assert upper is None  # no inputs to probe near
+        return
+    _, sigma = model.posterior_grid(GAMMA_GRID, _kq=kq)
+    assert upper >= float(np.min(sigma))
+
+
+@PROPERTY_SETTINGS
+@given(model=probed_models())
+def test_probe_bound_is_at_or_above_the_grid_minimum(model):
+    # the end-of-run probe's two lifts cover the full grid solve on any
+    # factor the screen's margins cover: batch, row by row or jittered
+    assert_probe_bounds_the_grid_minimum(model)
+
+
+def test_probe_bound_on_the_dense_offline_factor():
+    # the offline-dense benchmark's 1000-point memoised factor
+    run = prepare_run(replace(case_preset("c"), offline_dataset_size=1000))
+    assert_probe_bounds_the_grid_minimum(engine._offline_factor(run).model)
 
 
 @PROPERTY_SETTINGS

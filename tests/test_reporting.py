@@ -95,8 +95,10 @@ class TestTrajectoryCsv:
         ):
             assert key in meta
         assert meta["case"] == "d"
-        assert float(meta["delta"]) == summary.delta
-        assert float(meta["beta"]) == summary.beta
+        assert float(meta["delta"]) == summary.bound.delta
+        assert float(meta["tau"]) == summary.bound.tau
+        assert float(meta["beta"]) == summary.bound.beta
+        assert float(meta["eta_bar"]) == summary.bound.eta_bar_lower
         assert float(meta["epsilon"]) == summary.epsilon
         assert meta["config"] == summary.config_digest
         assert meta["domain_ok"] in ("true", "false")

@@ -1,12 +1,15 @@
 """Trigger rules: plug-in values, firing semantics, partition properties."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gpconsensus.engine import run_episode
 from gpconsensus.errors import InvalidParam
-from gpconsensus.gp import GpModel, KernelParams, make_bound_context
+from gpconsensus.gp import BoundContext, GpModel, KernelParams
+from gpconsensus.presets import case_preset
 from gpconsensus.rng import SplitMix64
 from gpconsensus.triggers import evaluate_trigger, trigger_threshold
 from oracles import classify_agent, error_bound, rho_naive, rho_proposed, rho_relaxed
@@ -157,7 +160,7 @@ class TestPartitionProperties:
     NOISE_STD = 0.01
 
     def make_ctx(self):
-        return make_bound_context(
+        return BoundContext(
             delta=0.01,
             tau=1e-3,
             domain_lo=-1.5,
@@ -235,3 +238,30 @@ def test_rules_bitwise_reproducible():
         for e, x, xb, c in states
     ]
     assert first == second
+
+
+class TestRulesInEpisodes:
+    """Case d at seed 0 for 1 s under each rule: where the rules can differ."""
+
+    def episode(self, learning, **fields):
+        cfg = dataclasses.replace(case_preset("d"), t_end=1.0, learning=learning, **fields)
+        return run_episode(cfg)
+
+    def test_compensated_law_makes_every_rule_naive(self):
+        # the compensated law keeps c|x - x_bar| below (1 + sqrt(N-1)) eta_bar
+        # = 0.267, where the proposed threshold sits at its floor eta_bar and
+        # the relaxed slack is 0, so all three rules take the same steps
+        traj, summary = self.episode("online_naive")
+        assert len(summary.events) == 498
+        for learning in ("online_proposed", "online_relaxed"):
+            other_traj, other = self.episode(learning)
+            for name, value in vars(traj).items():
+                assert value.tobytes() == getattr(other_traj, name).tobytes(), name
+            assert other.events == summary.events
+
+    def test_conventional_law_at_high_gain_sets_the_rules_apart(self):
+        counts = [
+            len(self.episode(learning, controller="conventional", c=10.0)[1].events)
+            for learning in ("online_naive", "online_proposed", "online_relaxed")
+        ]
+        assert counts == [373, 83, 321]
