@@ -276,7 +276,11 @@ class TriggerEvent:
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Diagnostics of one step, for logging."""
+    """Diagnostics of one step, for logging.
+
+    eta and rho are 0 for offline learning, which evaluates no trigger;
+    ``run_episode`` fills the logged eta of such a run after its last step.
+    """
 
     u: NDArray
     rho: NDArray
@@ -326,12 +330,13 @@ def _query_triggers(
 
     eta = 2 sqrt(beta) sigma(x) is the bound of the models as passed in,
     so callers query before any update. This is the only place a trigger
-    is evaluated: every step that needs eta and the terminal row go
-    through it. With screen set, each query gets its agent's threshold
-    and may return a certified upper bound on sigma in place of sigma
-    where that bound already keeps the trigger silent (``GpModel.posterior``):
-    every fire decision and mean is the same, while eta and rho of such
-    an agent are its bound's.
+    is evaluated: every step of online learning and its terminal row go
+    through it. Offline learning evaluates no trigger and never calls it
+    (``step``, ``run_episode``). With screen set, each query gets its
+    agent's threshold and may return a certified upper bound on sigma in
+    place of sigma where that bound already keeps the trigger silent
+    (``GpModel.posterior``): every fire decision and mean is the same,
+    while eta and rho of such an agent are its bound's.
     """
     mode = run.trigger_mode
     threshold = trigger_threshold(
@@ -359,16 +364,16 @@ def _query_triggers(
 def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = True) -> StepInfo:
     """Advance one control period; returns this step's diagnostics.
 
-    Each agent queries its model once. Where a trigger rule is active or
-    need_eta is set (the step is logged), that query yields both eta and
-    f_hat, and a fired agent's update reuses its solve. On a logged step
-    it is a full posterior; on an unlogged one it is screened, so eta may
-    be a bound that proves the agent silent (``_query_triggers``).
-    Otherwise learning is offline, so the models share one factor or are
-    all empty, and f_hat is one kernel block against it
-    (``gp.shared_factor_means``); eta and rho stay 0. A fired agent takes
-    f_hat and sigma_after from the post-update posterior its update
-    returns.
+    Where a trigger rule is active (online learning), each agent queries
+    its model once, and that query yields both eta and f_hat; a fired
+    agent's update reuses its solve. With need_eta set (the step is
+    logged) it is a full posterior; otherwise it is screened, so eta may
+    be a bound that proves the agent silent (``_query_triggers``). A
+    fired agent takes f_hat and sigma_after from the post-update posterior
+    its update returns. Offline learning evaluates no trigger: the models
+    share one factor or are all empty, f_hat is one kernel block against
+    it (``gp.shared_factor_means``), no sigma is solved, and eta and rho
+    stay 0 whether or not the step is logged.
     Raises OutOfDomain when a state leaves the plant domain or becomes
     non-finite.
     """
@@ -379,7 +384,7 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
     fired = np.zeros(n, dtype=np.int64)
     events: list[TriggerEvent] = []
 
-    if need_eta or run.trigger_mode != "none":
+    if run.trigger_mode != "none":
         mu, eta, rho = _query_triggers(
             run, state.models, x_snap, xb_snap, screen=not need_eta
         )
@@ -522,7 +527,14 @@ def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
 
 
 def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
-    """Integrate one episode over [0, t_end] and summarize it."""
+    """Integrate one episode over [0, t_end] and summarize it.
+
+    Offline learning reads no eta while it runs, and its models never
+    change, so the eta of every logged row and of the terminal row comes
+    from one ``posterior_grid`` solve on the shared factor at all logged
+    states, after the last step. A negative variance there raises with
+    t = t_end.
+    """
     run = prepare_run(config)
     cfg = run.config
     n = cfg.n_agents
@@ -572,9 +584,14 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
         traj.x_bar[row] = state.x_bar
         traj.u[row] = state.u_prev
         traj.err[row] = consensus_error(state.x, x_bar_star)
-        _, traj.eta[row], traj.rho[row] = _query_triggers(
-            run, state.models, state.x, state.x_bar
-        )
+        if run.trigger_mode != "none":
+            _, traj.eta[row], traj.rho[row] = _query_triggers(
+                run, state.models, state.x, state.x_bar
+            )
+        else:
+            # offline models share one factor, so one solve serves every row
+            _, sigma = state.models[0].posterior_grid(traj.x.ravel())
+            traj.eta[:] = (2.0 * run.bound.root_beta * sigma).reshape(traj.x.shape)
         traj.dataset_size[row] = [m.size for m in state.models]
 
         grid = domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)

@@ -12,6 +12,7 @@ observe a partial file; the file gets the mode open() would give it.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import subprocess
@@ -32,8 +33,13 @@ def fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+@functools.cache
 def git_describe() -> str:
-    """Source revision of the working tree, or 'unknown' outside a checkout."""
+    """Source revision of the working tree, or 'unknown' outside a checkout.
+
+    Computed once per process: the code a process runs does not change
+    after import, so every meta it writes names the same revision.
+    """
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -2,13 +2,15 @@
 
 import pytest
 
-from gpconsensus import engine
+from gpconsensus import engine, reporting
 
 
 def clear_memos():
-    """Empty the automatic lip_f memo and the offline factor memo."""
+    """Empty the automatic lip_f memo, the offline factor memo and the
+    source label."""
     engine._auto_lip_f.cache_clear()
     engine._offline_factor_memo.cache_clear()
+    reporting.git_describe.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -417,8 +417,8 @@ class TestStep:
             assert chol(model).tobytes() == chol(old).tobytes()
 
     def test_offline_unlogged_step_is_one_kernel_block(self, monkeypatch):
-        # four agents on one factor: one N x M kernel block, no solve, and
-        # the input of the step that queries every posterior
+        # four agents on one factor, logged step or not: one N x M kernel
+        # block, no solve, and eta and rho left for run_episode
         run = prepare_run(case_preset("c"))
         counts = count_kernels_and_solves(monkeypatch)
         infos = []
@@ -426,9 +426,9 @@ class TestStep:
             state = init_state(run, SplitMix64(3))
             counts.update(kernel=0, solve=0)
             infos.append(step(state, run, SplitMix64(3), need_eta=need))
-        # the counts of the unlogged step
-        assert counts == {"kernel": 1, "solve": 0}
+            assert counts == {"kernel": 1, "solve": 0}
         assert infos[0].u.tobytes() == infos[1].u.tobytes()
+        assert all(np.all(info.eta == 0.0) and np.all(info.rho == 0.0) for info in infos)
 
     def test_event_records_measurement_site(self):
         cfg = dataclasses.replace(case_preset("d"), t_end=0.05)
@@ -495,12 +495,17 @@ def peak_bytes(fn) -> int:
 
 
 def count_grid_solves(monkeypatch, counts):
-    """Count ``posterior_grid`` calls into counts: a probe of at most
-    ``gp._PROBE_POINTS`` points as "probe", a full-grid solve as "grid"."""
+    """Count ``posterior_grid`` calls into counts: the gamma check's probe
+    of at most ``gp._PROBE_POINTS`` points as "probe", its full-grid solve
+    as "grid", and a call without a kernel matrix, such as an offline
+    run's logged-row solve, as "rows" where counts has that key."""
     posterior_grid = GpModel.posterior_grid
 
     def counting(self, xs, **kwargs):
-        counts["probe" if len(xs) <= gp._PROBE_POINTS else "grid"] += 1
+        if "_kq" in kwargs:
+            counts["probe" if len(xs) <= gp._PROBE_POINTS else "grid"] += 1
+        elif "rows" in counts:
+            counts["rows"] += 1
         return posterior_grid(self, xs, **kwargs)
 
     monkeypatch.setattr(GpModel, "posterior_grid", counting)
@@ -512,7 +517,7 @@ class TestPosteriorQueries:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"posterior": 0, "grid": 0, "probe": 0}
+        counts = {"posterior": 0, "rows": 0, "grid": 0, "probe": 0}
         posterior = GpModel.posterior
 
         def counting(self, x, *args):
@@ -523,12 +528,27 @@ class TestPosteriorQueries:
         count_grid_solves(monkeypatch, counts)
         return counts
 
-    def test_offline_queries_sigma_on_logged_rows_only(self, calls):
+    def test_offline_queries_sigma_on_logged_rows_only(self, calls, monkeypatch):
+        # the steps solve no sigma; one solve after the last step gives the
+        # sigma of all 10 logged rows and the terminal row, agent by agent
+        solved = []
+        posterior_grid = GpModel.posterior_grid
+
+        def recording(self, xs, **kwargs):
+            if "_kq" not in kwargs:
+                solved.append(np.array(xs))
+            return posterior_grid(self, xs, **kwargs)
+
+        monkeypatch.setattr(GpModel, "posterior_grid", recording)
         cfg = dataclasses.replace(case_preset("c"), t_end=0.1)
         traj, summary = run_episode(cfg)
         n_logged = traj.t.size - 1
         assert n_logged == 10
-        assert calls["posterior"] == cfg.n_agents * (n_logged + 1)
+        assert calls["posterior"] == 0
+        assert calls["rows"] == 1
+        (xs,) = solved
+        assert xs.tobytes() == traj.x.tobytes()
+        assert np.all(traj.eta > 0.0) and np.all(traj.rho == 0.0)
         # the check passes, so the probe cannot decide it; the agents share
         # one factor, so one grid solve serves all four
         assert summary.gamma_ok
@@ -541,17 +561,53 @@ class TestPosteriorQueries:
         assert summary.events
         n_steps = 100
         assert calls["posterior"] == cfg.n_agents * (n_steps + 1)
+        assert calls["rows"] == 0
         # agent 1's probe already proves the gamma condition broken
         assert not summary.gamma_ok
         assert (calls["probe"], calls["grid"]) == (1, 0)
 
     def test_dense_offline_failure_skips_the_grid_solve(self, calls):
         # the offline-dense benchmark's 1000-point dataset: lip_f + lip_mu
-        # alone break the condition, so sigma is solved at the probes only
+        # alone break the condition, so sigma is solved at the probes only,
+        # besides the one solve of the logged rows
         cfg = dataclasses.replace(case_preset("c"), t_end=0.1, offline_dataset_size=1000)
         _, summary = run_episode(cfg)
         assert not summary.gamma_ok
+        assert (calls["posterior"], calls["rows"]) == (0, 1)
         assert (calls["probe"], calls["grid"]) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "case_id, change",
+        [
+            ("a", {"t_end": 2.0}),
+            ("c", {"t_end": 2.0}),
+            ("c", {"t_end": 0.2, "offline_dataset_size": 1000}),
+        ],
+    )
+    def test_logged_sigma_is_within_two_lifts_of_a_query(self, case_id, change):
+        # the episode's one solve and a per-agent query are two
+        # substitutions against one factor, each within lift of the
+        # reference sd (gp._screen_margins), so two lifts bound either
+        cfg = dataclasses.replace(case_preset(case_id), **change)
+        traj, _ = run_episode(cfg)
+        run = prepare_run(cfg)
+        models = init_state(run, SplitMix64(cfg.seed)).models
+        lift = models[0]._screen.lift
+        sigma = traj.eta / (2.0 * run.bound.root_beta)
+        for xs, row in zip(traj.x.tolist(), sigma.tolist()):
+            for model, x, s in zip(models, xs, row):
+                s_query = model.posterior(x)[1]
+                assert s <= lift(lift(s_query)) and s_query <= lift(lift(s))
+
+    def test_offline_negative_variance_raises_at_t_end(self):
+        # shrinking the shared factor inflates L^-1 k, so a logged row's
+        # variance falls far below -NEG_VAR_TOL; the rows are solved after
+        # the last step
+        cfg = dataclasses.replace(case_preset("c"), t_end=0.05)
+        base = engine._offline_factor(prepare_run(cfg)).model
+        base._chol *= 0.9
+        with pytest.raises(NumericalBreakdown, match=r"posterior variance .* t=0\.05\]"):
+            run_episode(cfg)
 
 
 class TestGammaCheck:
@@ -886,7 +942,7 @@ class TestOfflineFactorMemo:
     def test_second_episode_builds_nothing_and_repeats_its_bits(self, monkeypatch):
         cfg = dataclasses.replace(case_preset("c"), t_end=0.1)
         traj, summary = run_episode(cfg)
-        counts = {"from_data": 0, "kernel_matrix": 0, "grid": 0, "probe": 0}
+        counts = {"from_data": 0, "kernel_matrix": 0, "rows": 0, "grid": 0, "probe": 0}
         from_data, kernel = GpModel.from_data.__func__, engine._kernel
 
         def counting_from_data(cls, *args, **kwargs):
@@ -901,7 +957,8 @@ class TestOfflineFactorMemo:
         monkeypatch.setattr(engine, "_kernel", counting_kernel)
         count_grid_solves(monkeypatch, counts)
         again, again_summary = run_episode(cfg)
-        assert counts == {"from_data": 0, "kernel_matrix": 0, "grid": 0, "probe": 0}
+        # only the logged rows' sigma is solved again: their states are the run's own
+        assert counts == {"from_data": 0, "kernel_matrix": 0, "rows": 1, "grid": 0, "probe": 0}
         assert again_summary == summary and summary.gamma_ok
         for name in ("t", "x", "x_bar", "u", "rho", "eta", "fired", "dataset_size", "err"):
             assert getattr(again, name).tobytes() == getattr(traj, name).tobytes()

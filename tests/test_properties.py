@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -421,3 +422,42 @@ def test_kernel_block_means_equal_posterior_means(size, length_scale, seed, xs):
     models = init_state(run, SplitMix64(seed)).models
     means = shared_factor_means(models, np.array(xs))
     assert means.tolist() == [model.posterior(x)[0] for model, x in zip(models, xs)]
+
+
+# the memoised factors of cases a and c and of the offline-dense benchmark,
+# and a 150-point one whose batch Cholesky took the jitter ladder
+JITTERED = {"offline_dataset_size": 150, "length_scale": 0.3, "sigma_n": 1e-9}
+BATCH_FACTORS = ({"offline_dataset_size": 150}, {"offline_dataset_size": 1000}, JITTERED)
+
+
+def memo_factor(change):
+    """The memoised offline factor of case c with the given config changes."""
+    return engine._offline_factor(prepare_run(replace(case_preset("c"), **change))).model
+
+
+def test_the_jittered_factor_took_the_ladder():
+    model = memo_factor(JITTERED)
+    gram = gp._kernel(model.kernel, model.inputs, model.inputs)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram + model.noise_std**2 * np.eye(model.size))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    change=st.sampled_from(BATCH_FACTORS),
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(80, 404),
+    data=st.data(),
+)
+def test_sigma_bits_do_not_depend_on_the_batch(change, seed, n_points, data):
+    # an offline run solves the sigma of all its logged states in one
+    # block; a point's bits must be the same in any block of 2-80 columns
+    # at any offset (a single column is a matrix-vector solve, which may
+    # differ), so runs solved together would keep them too
+    model = memo_factor(change)
+    xs = np.random.default_rng(seed).uniform(-1.5, 1.5, n_points)
+    _, sigma = model.posterior_grid(xs)
+    width = data.draw(st.integers(2, 80))
+    offset = data.draw(st.integers(0, n_points - width))
+    _, part = model.posterior_grid(xs[offset : offset + width])
+    assert part.tobytes() == sigma[offset : offset + width].tobytes()

@@ -3,10 +3,12 @@
 import csv
 import math
 import os
+import subprocess
 
 import numpy as np
 import pytest
 
+from gpconsensus import reporting
 from gpconsensus.analysis import consensus_error
 from gpconsensus.config import SimConfig
 from gpconsensus.engine import McRunRecord, run_episode, run_monte_carlo
@@ -58,6 +60,20 @@ class TestFormatting:
     def test_git_describe_returns_label(self):
         label = git_describe()
         assert isinstance(label, str) and label
+
+    def test_two_metas_start_one_git_subprocess(self, monkeypatch):
+        # the code a process runs cannot change, so its label is computed once
+        starts = []
+        run = subprocess.run
+
+        def counting(*args, **kwargs):
+            starts.append(args[0])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(reporting.subprocess, "run", counting)
+        _, summary = short_episode()
+        assert build_meta(summary)["source"] == build_meta(summary)["source"]
+        assert starts == [["git", "describe", "--always", "--dirty"]]
 
 
 class TestTrajectoryCsv:
