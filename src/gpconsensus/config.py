@@ -19,9 +19,10 @@ LEARNING_MODES = ("offline", "online_naive", "online_proposed", "online_relaxed"
 PREDICTORS = ("gp", "oracle", "oracle_biased")
 MEASUREMENT_MODES = ("oracle", "finite_difference")
 
-# learning strategy -> trigger rule driving online data collection
+# learning strategy -> trigger rule driving online data collection; offline
+# learning collects no data and evaluates no rule
 TRIGGER_FOR_LEARNING = {
-    "offline": "none",
+    "offline": None,
     "online_naive": "naive",
     "online_proposed": "proposed",
     "online_relaxed": "relaxed",

@@ -51,6 +51,9 @@ from .topology import Topology, build_topology
 from .triggers import evaluate_trigger, trigger_threshold
 
 LIP_GRID_STEP = 1e-3
+# widest block of logged-row sigma solves in an offline run; every block
+# of a split holds at least half of it
+_LOGGED_SIGMA_BLOCK = 1024
 
 
 def auxiliary_step_matrix(lap: NDArray, c_bar: float, dt: float) -> NDArray:
@@ -118,6 +121,7 @@ class RunContext:
 
     ``x_bar_step`` is the ``auxiliary_step_matrix`` of the graph, c_bar
     and dt; it derives from the config, so equality and hashing skip it.
+    ``trigger_mode`` is None for offline learning, which evaluates no rule.
     """
 
     config: SimConfig
@@ -126,7 +130,7 @@ class RunContext:
     gains: ControlGains
     kernel: KernelParams
     bound: BoundContext
-    trigger_mode: str
+    trigger_mode: str | None
     epsilon: float
     digest: str
     x_bar_step: NDArray = field(repr=False, compare=False)
@@ -338,9 +342,8 @@ def _query_triggers(
     (``GpModel.posterior``): every fire decision and mean is the same,
     while eta and rho of such an agent are its bound's.
     """
-    mode = run.trigger_mode
     threshold = trigger_threshold(
-        mode,
+        run.trigger_mode,
         x,
         x_bar,
         run.config.c,
@@ -358,7 +361,7 @@ def _query_triggers(
         post = [m.posterior(xi) for m, xi in zip(models, x.tolist())]
     mu, sigma = np.array(post).T
     eta = scale * sigma
-    return mu, eta, evaluate_trigger(mode, eta, threshold)
+    return mu, eta, evaluate_trigger(eta, threshold)
 
 
 def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = True) -> StepInfo:
@@ -384,7 +387,7 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
     fired = np.zeros(n, dtype=np.int64)
     events: list[TriggerEvent] = []
 
-    if run.trigger_mode != "none":
+    if run.trigger_mode is not None:
         mu, eta, rho = _query_triggers(
             run, state.models, x_snap, xb_snap, screen=not need_eta
         )
@@ -482,17 +485,16 @@ class EpisodeSummary:
     events: tuple[TriggerEvent, ...]
 
 
-def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
-    """Whether every model meets the bound-validity (gamma) condition on grid.
+def _check_gamma(run: RunContext, models: list[GpModel]) -> bool:
+    """Whether every model meets the bound-validity (gamma) condition.
 
-    Models are checked in agent order, and the check stops at the first
-    failure. Consecutive models on one factor (``GpModel.same_factor``)
-    share its ``_GridFacts``: one grid kernel matrix, one sigma solve and
-    so one lip_sigma; each model's mean, and so its lip_mu, is still its
-    own. Models on the run's memoised offline factor read the facts kept
-    with it, when grid is the run's domain grid, so later runs on that
-    factor reuse them. Of other factors only one kernel matrix is held:
-    the previous one is dropped before the next is built.
+    The check runs on the run's domain grid, in agent order, and stops at
+    the first failure. Models on the run's memoised offline factor share
+    the ``_GridFacts`` kept with it: one grid kernel matrix and one sigma
+    solve, so one lip_sigma, for all of them and for later runs on that
+    factor; each model's mean, and so its lip_mu, is still its own. Every
+    other model owns its factor and builds its own facts, and the
+    previous model's are dropped first.
 
     Before a factor's full-grid sigma is solved, a failure is proven where
     it can be: ``check_gamma_condition`` with lip_sigma = 0 has no larger
@@ -505,15 +507,15 @@ def _check_gamma(run: RunContext, models: list[GpModel], grid: NDArray) -> bool:
     """
     bound = run.bound
     shared = _offline_factor(run)
-    if shared is not None and not np.array_equal(shared.grid, grid):
-        shared = None
-    facts = None
+    if shared is not None:
+        grid = shared.grid
+    else:
+        grid = domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)
     for model in models:
-        if facts is None or not model.same_factor(facts.model):
-            if shared is not None and model.same_factor(shared.model):
-                facts = shared
-            else:
-                facts = _GridFacts(model, grid)
+        if shared is not None and model.same_factor(shared.model):
+            facts = shared
+        else:
+            facts = _GridFacts(model, grid)  # builds its kernel matrix on first use
         lip_mu = estimate_lipschitz(grid, _grid_mean(model, facts.kq))
         if facts.sigma is None:
             sigma_up = facts.sigma_upper
@@ -530,10 +532,12 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
     """Integrate one episode over [0, t_end] and summarize it.
 
     Offline learning reads no eta while it runs, and its models never
-    change, so the eta of every logged row and of the terminal row comes
-    from one ``posterior_grid`` solve on the shared factor at all logged
-    states, after the last step. A negative variance there raises with
-    t = t_end.
+    change, so the eta of every logged row and of the terminal row is
+    solved on the shared factor at all logged states after the last step,
+    in blocks of at most _LOGGED_SIGMA_BLOCK columns, so that the memory
+    held does not grow with t_end. A column's sigma has the same bits in
+    any block of two or more columns. A negative variance there raises
+    with t = t_end.
     """
     run = prepare_run(config)
     cfg = run.config
@@ -584,18 +588,18 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
         traj.x_bar[row] = state.x_bar
         traj.u[row] = state.u_prev
         traj.err[row] = consensus_error(state.x, x_bar_star)
-        if run.trigger_mode != "none":
+        if run.trigger_mode is not None:
             _, traj.eta[row], traj.rho[row] = _query_triggers(
                 run, state.models, state.x, state.x_bar
             )
         else:
-            # offline models share one factor, so one solve serves every row
-            _, sigma = state.models[0].posterior_grid(traj.x.ravel())
+            # offline models share one factor, so its solves serve every row
+            xs = traj.x.ravel()
+            blocks = np.array_split(xs, -(-xs.size // _LOGGED_SIGMA_BLOCK))
+            sigma = np.concatenate([state.models[0].posterior_grid(b)[1] for b in blocks])
             traj.eta[:] = (2.0 * run.bound.root_beta * sigma).reshape(traj.x.shape)
         traj.dataset_size[row] = [m.size for m in state.models]
-
-        grid = domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)
-        gamma_ok = _check_gamma(run, state.models, grid)
+        gamma_ok = _check_gamma(run, state.models)
     except GpConsensusError as exc:
         raise type(exc)(
             f"{exc} [case={cfg.case_label or 'custom'} seed={cfg.seed} "
@@ -637,10 +641,6 @@ class McRunRecord:
     epsilon: float = math.nan
     domain_ok: bool = False
     gamma_ok: bool = False
-    max_sigma_after: float = math.nan
-    last_event_t: float = math.nan
-    aux_mean_drift: float = math.nan
-    aux_final_gap: float = math.nan
     failed: bool = False
     message: str = ""
 
@@ -651,7 +651,6 @@ class McSummary:
 
     cases: tuple[str, ...]
     n_runs: int
-    base_seed: int
     times: NDArray
     errors: dict[str, NDArray]  # case -> (n_runs, n_times); NaN rows for failures
     records: tuple[McRunRecord, ...]
@@ -673,8 +672,6 @@ def _mc_worker(args: tuple[SimConfig, str, int]) -> tuple[NDArray, McRunRecord]:
         return np.array([]), McRunRecord(
             case, run_index, config.seed, failed=True, message=str(exc)
         )
-    sigmas = [ev.sigma_after for ev in summary.events]
-    aux_means = traj.x_bar.mean(axis=1)
     record = McRunRecord(
         case=case,
         run=run_index,
@@ -685,10 +682,6 @@ def _mc_worker(args: tuple[SimConfig, str, int]) -> tuple[NDArray, McRunRecord]:
         epsilon=summary.epsilon,
         domain_ok=summary.domain_ok,
         gamma_ok=summary.gamma_ok,
-        max_sigma_after=max(sigmas) if sigmas else float("nan"),
-        last_event_t=summary.events[-1].t if summary.events else float("nan"),
-        aux_mean_drift=float(np.max(np.abs(aux_means - summary.x_bar_star))),
-        aux_final_gap=float(np.linalg.norm(traj.x_bar[-1] - summary.x_bar_star)),
     )
     return traj.err, record
 
@@ -752,7 +745,6 @@ def run_monte_carlo(
     return McSummary(
         cases=tuple(cases),
         n_runs=n_runs,
-        base_seed=base_config.seed,
         times=times,
         errors=errors,
         records=tuple(record for _, record in raw),

@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidParam
 
-MODES = ("proposed", "naive", "relaxed", "none")
+MODES = ("proposed", "naive", "relaxed")
 
 Values = float | NDArray
 
@@ -46,7 +46,6 @@ def trigger_threshold(
       on the accuracy target epsilon. Implemented exactly as stated; it is
       NOT algebraically identical to the disagreement-aware rule, and
       disagreement between the two is measured rather than assumed away.
-    - none: +inf, which no bound reaches.
     """
     if mode == "proposed":
         gap = c * np.abs(x - x_bar) - math.sqrt(n_agents - 1) * eta_bar_lower
@@ -58,17 +57,12 @@ def trigger_threshold(
             raise InvalidParam("relaxed trigger requires epsilon")
         slack = np.maximum(np.abs(x - x_bar) - epsilon / math.sqrt(n_agents), 0.0) / c
         return slack + eta_bar_lower
-    if mode == "none":
-        return np.full(np.shape(x), math.inf)
     raise InvalidParam(f"unknown trigger mode {mode!r}; expected one of {MODES}")
 
 
-def evaluate_trigger(mode: str, eta: Values, threshold: Values) -> Values:
-    """rho = eta - threshold of the selected rule; an agent fires where rho > 0.
+def evaluate_trigger(eta: Values, threshold: Values) -> Values:
+    """rho = eta - threshold; an agent fires where rho > 0.
 
-    threshold is ``trigger_threshold`` of the same mode. Mode "none" gives
-    rho = 0 everywhere, so it never fires.
+    threshold is ``trigger_threshold`` of the agent's rule.
     """
-    if mode == "none":
-        return np.zeros(np.shape(eta))
     return eta - threshold

@@ -161,8 +161,6 @@ def rho_scalar(mode, eta, x, x_bar, c, n_agents, eta_bar, epsilon):
     if mode == "relaxed":
         slack = max(abs(x - x_bar) - epsilon / math.sqrt(n_agents), 0.0) / c
         return eta - (slack + eta_bar)
-    if mode == "none":
-        return 0.0
     raise ValueError(mode)
 
 

@@ -12,6 +12,7 @@ from pilot ensembles before this suite was wired up.
 import math
 import time
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from oracles import (
     trend_slope,
 )
 
+from gpconsensus import engine
 from gpconsensus.analysis import appendix_solution
 from gpconsensus.config import SimConfig
 from gpconsensus.engine import run_episode, run_monte_carlo
+from gpconsensus.errors import GpConsensusError
 from gpconsensus.gp import (
     BoundContext,
     GpModel,
@@ -69,12 +72,54 @@ def headline():
     return runs
 
 
+class RunStats(NamedTuple):
+    """What the checks read of one sweep run beyond its record; NaN where
+    the run had no event."""
+
+    max_sigma_after: float
+    last_event_t: float
+    aux_mean_drift: float
+    aux_final_gap: float
+
+
+def run_stats(traj, summary) -> RunStats:
+    sigmas = [ev.sigma_after for ev in summary.events]
+    aux_means = traj.x_bar.mean(axis=1)
+    return RunStats(
+        max_sigma_after=max(sigmas) if sigmas else math.nan,
+        last_event_t=summary.events[-1].t if summary.events else math.nan,
+        aux_mean_drift=float(np.max(np.abs(aux_means - summary.x_bar_star))),
+        aux_final_gap=float(np.linalg.norm(traj.x_bar[-1] - summary.x_bar_star)),
+    )
+
+
 @pytest.fixture(scope="module")
 def mc():
-    """20 seeds per case, uniform initial states, full horizon."""
-    t0 = time.perf_counter()
-    out = run_monte_carlo(SimConfig(seed=0), MC_RUNS, CASES, jobs=1)
-    return out, time.perf_counter() - t0
+    """20 seeds per case, uniform initial states, full horizon.
+
+    Returns the sweep, its wall time and each record's ``RunStats`` (None
+    for a failed run). At jobs=1 every run is one ``engine.run_episode``
+    call in this process, in record order, so a wrapper sees them all.
+    """
+    stats = []
+    episode = engine.run_episode
+
+    def recording(config):
+        try:
+            traj, summary = episode(config)
+        except GpConsensusError:
+            stats.append(None)
+            raise
+        stats.append(run_stats(traj, summary))
+        return traj, summary
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "run_episode", recording)
+        t0 = time.perf_counter()
+        out = run_monte_carlo(SimConfig(seed=0), MC_RUNS, CASES, jobs=1)
+        wall = time.perf_counter() - t0
+    assert len(stats) == len(out.records)
+    return out, wall, stats
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +163,7 @@ def test_criterion_01_headline_band_and_median(headline):
 
 
 def test_criterion_02_controller_ordering(mc):
-    summary, wall = mc
+    summary, wall, _ = mc
     med = {}
     for case in CASES:
         finals = [
@@ -157,7 +202,7 @@ def test_criterion_03_trigger_counts_and_quiet_tail(headline):
 
 
 def test_criterion_04_online_dataset_budget(mc):
-    summary, _ = mc
+    summary, _, _ = mc
     means = {}
     for case in ("b", "d"):
         sizes = np.array(
@@ -223,10 +268,9 @@ def test_criterion_07_post_update_noise_floor(headline, mc, biased_pair):
         for e in summary.events:
             worst = max(worst, e.sigma_after)
             n_events += 1
-    mc_summary, _ = mc
-    for r in mc_summary.records:
-        if not r.failed and not math.isnan(r.max_sigma_after):
-            worst = max(worst, r.max_sigma_after)
+    for stat in mc[2]:
+        if stat is not None and not math.isnan(stat.max_sigma_after):
+            worst = max(worst, stat.max_sigma_after)
     _, pair_summary = biased_pair
     for e in pair_summary.events:
         worst = max(worst, e.sigma_after)
@@ -253,9 +297,7 @@ def test_criterion_08_trigger_partition_fuzz():
         x = rng.uniform(-1.5, 1.5)
         x_bar = rng.uniform(-1.5, 1.5)
         eta = rng.uniform(0.0, 3.0)
-        rho = evaluate_trigger(
-            "proposed", eta, trigger_threshold("proposed", x, x_bar, 1.0, 4, eta_bar)
-        )
+        rho = evaluate_trigger(eta, trigger_threshold("proposed", x, x_bar, 1.0, 4, eta_bar))
         region = classify_agent(eta, x, x_bar, 1.0, 4, eta_bar)
         counts[region] += 1
         if rho > 0.0:
@@ -280,11 +322,10 @@ def test_criterion_09_auxiliary_averaging(headline, mc, biased_pair):
         means = traj.x_bar.mean(axis=1)
         worst_drift = max(worst_drift, float(np.max(np.abs(means - means[0]))))
         worst_gap = max(worst_gap, float(np.linalg.norm(traj.x_bar[-1] - means[0])))
-    mc_summary, _ = mc
-    for r in mc_summary.records:
-        if not r.failed:
-            worst_drift = max(worst_drift, r.aux_mean_drift)
-            worst_gap = max(worst_gap, r.aux_final_gap)
+    for stat in mc[2]:
+        if stat is not None:
+            worst_drift = max(worst_drift, stat.aux_mean_drift)
+            worst_gap = max(worst_gap, stat.aux_final_gap)
     pair_traj, _ = biased_pair
     pair_means = pair_traj.x_bar.mean(axis=1)
     worst_drift = max(worst_drift, float(np.max(np.abs(pair_means - pair_means[0]))))
@@ -319,7 +360,7 @@ def test_criterion_11_byte_identical_repeats(headline, mc, biased_pair, tmp_path
     names = ["trajectory_d.csv", "summary.csv"]
     same = all((first / n).read_bytes() == (second / n).read_bytes() for n in names)
 
-    mc_summary, _ = mc
+    mc_summary, _, _ = mc
     write_montecarlo_csv(first / "montecarlo.csv", mc_summary, {"runs": mc_summary.n_runs})
     write_montecarlo_csv(second / "montecarlo.csv", mc_summary, {"runs": mc_summary.n_runs})
     same = same and (
@@ -332,14 +373,16 @@ def test_criterion_11_byte_identical_repeats(headline, mc, biased_pair, tmp_path
 def test_invariant_case_d_sweep_quiet_tail(mc):
     # the online disagreement-aware trigger must go quiet in the final
     # fifth of the horizon for at least 90 percent of the sweep runs
-    mc_summary, _ = mc
-    d_records = [r for r in mc_summary.records if r.case == "d" and not r.failed]
-    assert len(d_records) == MC_RUNS
+    mc_summary, _, stats = mc
+    d_runs = [
+        stat for r, stat in zip(mc_summary.records, stats) if r.case == "d" and stat is not None
+    ]
+    assert len(d_runs) == MC_RUNS
     quiet = sum(
-        1 for r in d_records if math.isnan(r.last_event_t) or r.last_event_t <= 8.0
+        1 for stat in d_runs if math.isnan(stat.last_event_t) or stat.last_event_t <= 8.0
     )
-    frac = quiet / len(d_records)
-    print(f"invariant: {quiet}/{len(d_records)} runs quiet after t=8")
+    frac = quiet / len(d_runs)
+    print(f"invariant: {quiet}/{len(d_runs)} runs quiet after t=8")
     assert frac >= 0.9
 
 

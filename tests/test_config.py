@@ -135,7 +135,7 @@ class TestValidation:
 
     def test_every_learning_mode_has_a_trigger(self):
         assert set(TRIGGER_FOR_LEARNING) == set(LEARNING_MODES)
-        assert TRIGGER_FOR_LEARNING["offline"] == "none"
+        assert TRIGGER_FOR_LEARNING["offline"] is None
         assert TRIGGER_FOR_LEARNING["online_proposed"] == "proposed"
 
 

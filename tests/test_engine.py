@@ -188,7 +188,8 @@ class TestOfflineDataset:
 class TestPrepareRun:
     @pytest.mark.parametrize(
         "case_id,mode",
-        [("a", "none"), ("b", "naive"), ("c", "none"), ("d", "proposed")],
+        [("a", None), ("b", "naive"), ("c", None), ("d", "proposed")],
+        ids=["a-none", "b-naive", "c-none", "d-proposed"],  # offline evaluates no rule
     )
     def test_trigger_mode_per_case(self, case_id, mode):
         assert prepare_run(case_preset(case_id)).trigger_mode == mode
@@ -554,6 +555,45 @@ class TestPosteriorQueries:
         assert summary.gamma_ok
         assert (calls["probe"], calls["grid"]) == (1, 1)
 
+    def test_logged_sigma_split_keeps_bits_and_bounds_memory(self, monkeypatch):
+        # 301 logged rows of 4 agents are 1204 columns, above the widest
+        # block: two blocks of 602, with the bits of one solve over all.
+        # Each block holds its kernel block and dtrtrs's copy of it, so the
+        # solve peaks near two blocks' worth, where one block over all
+        # columns would hold 2 x 1204 x 1000 doubles (19.3 MB)
+        cfg = dataclasses.replace(case_preset("c"), t_end=3.0, offline_dataset_size=1000)
+        run = prepare_run(cfg)
+        base = engine._offline_factor(run).model  # built before tracing
+        widths, peaks = [], []
+        posterior_grid = GpModel.posterior_grid
+        check_gamma = engine._check_gamma
+
+        def traced(self, xs, **kwargs):
+            if "_kq" not in kwargs:
+                widths.append(len(xs))
+                if not tracemalloc.is_tracing():
+                    tracemalloc.start()
+            return posterior_grid(self, xs, **kwargs)
+
+        def stop_tracing(run, models):
+            # the gamma check follows the logged-row solve
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            return check_gamma(run, models)
+
+        monkeypatch.setattr(GpModel, "posterior_grid", traced)
+        monkeypatch.setattr(engine, "_check_gamma", stop_tracing)
+        try:
+            traj, _ = run_episode(cfg)
+        finally:
+            tracemalloc.stop()
+        assert widths == [602, 602]
+        (peak,) = peaks
+        assert peak <= 1.1 * 2 * 602 * 1000 * 8
+        _, sigma = posterior_grid(base, traj.x.ravel())
+        eta = (2.0 * run.bound.root_beta * sigma).reshape(traj.x.shape)
+        assert traj.eta.tobytes() == eta.tobytes()
+
     def test_online_queries_once_per_agent_step(self, calls):
         # an event takes its post-update posterior from the update itself
         cfg = dataclasses.replace(case_preset("d"), t_end=0.1)
@@ -611,9 +651,10 @@ class TestPosteriorQueries:
 
 
 class TestGammaCheck:
-    """End-of-run gamma check: one grid kernel matrix and one sigma solve
-    per run of models on one factor, failures proven from probes where
-    they can be, stop at the first failure."""
+    """End-of-run gamma check on the run's domain grid: one grid kernel
+    matrix and one sigma solve for all models on the memoised offline
+    factor, kept for later runs, and one per other model; failures proven
+    from probes where they can be, stop at the first failure."""
 
     KERNEL = KernelParams(sigma_f=1.0, length_scale=0.3)
     NOISE = 0.05
@@ -640,11 +681,23 @@ class TestGammaCheck:
         xs = np.linspace(-1.5, 1.5, n)
         return GpModel.from_data(self.KERNEL, self.NOISE, xs, amplitude * (-1.0) ** np.arange(n))
 
+    def memo_run(self, n):
+        """A case-c run and its memoised offline factor, on the inputs,
+        kernel and noise of ``self.model(n)``."""
+        cfg = dataclasses.replace(
+            case_preset("c"),
+            offline_dataset_size=n,
+            length_scale=self.KERNEL.length_scale,
+            sigma_n=self.NOISE,
+        )
+        run = prepare_run(cfg)
+        return run, engine._offline_factor(run).model
+
     def test_shared_factor_only_agent_2_mean_breaks_gamma(self, calls, run_and_grid):
-        run, grid = run_and_grid
-        base = self.model(7)
+        _, grid = run_and_grid
+        run, base = self.memo_run(7)
         models = [
-            base,
+            base.with_outputs(np.zeros(7)),
             base.with_outputs(100.0 * (-1.0) ** np.arange(7)),  # steep mean, same sigma
             base.with_outputs(np.zeros(7)),
             base.with_outputs(np.ones(7)),
@@ -654,10 +707,11 @@ class TestGammaCheck:
         # agent 1 passes, so it solves the grid after its probe; agent 2
         # reuses that sigma without a probe
         calls.update(grid=0, probe=0, kernel_matrix=0)
-        assert engine._check_gamma(run, models, grid) is False
+        assert engine._check_gamma(run, models) is False
         assert calls == {"grid": 1, "probe": 1, "kernel_matrix": 1}
-        assert engine._check_gamma(run, models[:1] + models[2:], grid) is True
-        assert calls == {"grid": 2, "probe": 2, "kernel_matrix": 2}
+        # the memo keeps the factor's facts, so a later run solves nothing
+        assert engine._check_gamma(run, models[:1] + models[2:]) is True
+        assert calls == {"grid": 1, "probe": 1, "kernel_matrix": 1}
 
     def test_distinct_factors_agent_1_passes_agent_3_fails(self, calls, run_and_grid):
         run, grid = run_and_grid
@@ -666,9 +720,9 @@ class TestGammaCheck:
         assert verdicts == [True, True, False, True]
         # agent 3's steep mean fails on its probe alone
         calls.update(grid=0, probe=0, kernel_matrix=0)
-        assert engine._check_gamma(run, models, grid) is False
+        assert engine._check_gamma(run, models) is False
         assert calls == {"grid": 2, "probe": 3, "kernel_matrix": 3}
-        assert engine._check_gamma(run, models[:2] + models[3:], grid) is True
+        assert engine._check_gamma(run, models[:2] + models[3:]) is True
         assert calls == {"grid": 5, "probe": 6, "kernel_matrix": 6}
 
     def test_empty_models_take_the_full_path(self, calls, run_and_grid):
@@ -678,7 +732,7 @@ class TestGammaCheck:
         # no inputs to probe near; separate models hold separate factors,
         # so each takes its own solve-free sigma
         calls.update(grid=0, probe=0)
-        assert engine._check_gamma(run, models, grid) is True
+        assert engine._check_gamma(run, models) is True
         assert (calls["probe"], calls["grid"]) == (0, 3)
 
     def test_near_tie_declines_the_shortcut(self, calls, run_and_grid):
@@ -698,7 +752,7 @@ class TestGammaCheck:
         gamma_lo = lip_f * tied.bound.tau
         assert run.bound.root_beta * probe_min < gamma_lo <= run.bound.root_beta * upper
         calls.update(grid=0, probe=0)
-        assert engine._check_gamma(tied, [model], grid) is False
+        assert engine._check_gamma(tied, [model]) is False
         assert (calls["probe"], calls["grid"]) == (1, 1)
         assert gamma_ok_every_model(tied.bound, [model], grid) is False
 
@@ -719,7 +773,7 @@ class TestGammaCheck:
 
         monkeypatch.setattr(engine, "check_gamma_condition", recording)
         calls.update(grid=0, probe=0)
-        assert engine._check_gamma(run, [model], grid) is False
+        assert engine._check_gamma(run, [model]) is False
         assert seen == [(run.bound, lip_mu, 0.0, upper)]
         assert (calls["probe"], calls["grid"]) == (1, 0)
 
@@ -732,7 +786,7 @@ class TestGammaCheck:
         grid = domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)
         calls.update(grid=0, probe=0)
         verdicts = []
-        peak = peak_bytes(lambda: verdicts.append(engine._check_gamma(run, models, grid)))
+        peak = peak_bytes(lambda: verdicts.append(engine._check_gamma(run, models)))
         assert verdicts == [False]
         assert (calls["probe"], calls["grid"]) == (1, 0)
         assert peak <= 1.1 * 1000 * grid.size * 8
@@ -744,15 +798,16 @@ class TestGammaCheck:
         model = self.model(15)
         model._chol *= 0.9
         with pytest.raises(NumericalBreakdown, match="posterior variance"):
-            engine._check_gamma(run, [model], grid)
+            engine._check_gamma(run, [model])
         assert (calls["probe"], calls["grid"]) == (1, 0)
 
     def test_grid_posteriors_equal_per_model_queries(self, monkeypatch, run_and_grid):
-        run, grid = run_and_grid
+        _, grid = run_and_grid
+        run, base = self.memo_run(9)
         # flat-ish targets and no lip_f: every model passes, so all are checked
         run = dataclasses.replace(run, bound=dataclasses.replace(run.bound, lip_f=0.0))
-        base = self.model(9, amplitude=0.01)
-        shared = [base] + [base.with_outputs(np.full(9, v)) for v in (0.003, -0.02, 0.07)]
+        shared = [base.with_outputs(0.01 * (-1.0) ** np.arange(9))]
+        shared += [base.with_outputs(np.full(9, v)) for v in (0.003, -0.02, 0.07)]
         distinct = [self.model(n, amplitude=0.01) for n in (3, 5, 7, 15)]
         seen = []
         estimate_lipschitz = engine.estimate_lipschitz
@@ -764,14 +819,14 @@ class TestGammaCheck:
         monkeypatch.setattr(engine, "estimate_lipschitz", recording)
         for models in (shared, distinct, [GpModel(self.KERNEL, self.NOISE)] + distinct[:2]):
             seen.clear()
-            assert engine._check_gamma(run, models, grid) is True
-            # each model's mean, then its factor's sigma where the factor is new
+            assert engine._check_gamma(run, models) is True
+            # each model's mean, then its sigma unless the memo's already holds it
             want = []
             for i, model in enumerate(models):
                 want_mu, want_sigma = model.posterior_grid(grid)
                 assert np.array_equal(want_mu, mean_grid(model, grid))
                 want.append(want_mu)
-                if i == 0 or not model.same_factor(models[i - 1]):
+                if i == 0 or not model.same_factor(base):
                     want.append(want_sigma)
             assert len(seen) == len(want)
             for got, values in zip(seen, want):
@@ -793,7 +848,7 @@ class TestGammaCheck:
             return estimate_lipschitz(*args)
 
         monkeypatch.setattr(engine, "estimate_lipschitz", counting)
-        checked = peak_bytes(lambda: engine._check_gamma(run, models, grid))
+        checked = peak_bytes(lambda: engine._check_gamma(run, models))
         assert len(seen) == 2 * len(models)  # every model's mean and full-solve sigma
         assert checked <= 1.1 * single
 
@@ -801,8 +856,9 @@ class TestGammaCheck:
         checked = []
         original = engine._check_gamma
 
-        def recording(run, models, grid):
-            ok = original(run, models, grid)
+        def recording(run, models):
+            ok = original(run, models)
+            grid = domain_grid(run.plant.domain_lo, run.plant.domain_hi, LIP_GRID_STEP)
             checked.append((ok, gamma_ok_every_model(run.bound, models, grid)))
             return ok
 
@@ -1226,9 +1282,3 @@ class TestMonteCarlo:
         assert sizes == [2]
         run_monte_carlo(base, 2, ("b", "d"), jobs=3)
         assert sizes == [2, 3]
-
-    def test_aux_diagnostics_populated(self):
-        mc = run_monte_carlo(self.base(), 2, ("c",))
-        for rec in mc.records:
-            assert rec.aux_mean_drift <= 1e-8
-            assert math.isfinite(rec.aux_final_gap)

@@ -206,9 +206,7 @@ def test_array_rho_equals_scalar_formula(data, c, eta_bar, epsilon):
     x, x_bar = data.draw(vec), data.draw(vec)
     eta = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n).map(np.array))
     for mode in MODES:
-        rho = evaluate_trigger(
-            mode, eta, trigger_threshold(mode, x, x_bar, c, n, eta_bar, epsilon)
-        )
+        rho = evaluate_trigger(eta, trigger_threshold(mode, x, x_bar, c, n, eta_bar, epsilon))
         expected = [
             rho_scalar(mode, float(e), float(xi), float(xbi), c, n, eta_bar, epsilon)
             for e, xi, xbi in zip(eta, x, x_bar)
@@ -256,7 +254,7 @@ def test_trigger_partition(eta, x, x_bar, c, n_agents, eta_bar):
     region = classify_agent(eta, x, x_bar, c, n_agents, eta_bar)
     gap = c * abs(x - x_bar)
     threshold = trigger_threshold("proposed", x, x_bar, c, n_agents, eta_bar)
-    fires = evaluate_trigger("proposed", eta, threshold) > 0.0
+    fires = evaluate_trigger(eta, threshold) > 0.0
     if gap <= (math.sqrt(n_agents - 1) + 1.0) * eta_bar:
         assert region == "S1"
         if not fires:
@@ -285,15 +283,18 @@ def test_every_rule_fires_only_where_naive_fires(data, c, eta_bar, epsilon):
     vec = st.lists(STATE, min_size=n, max_size=n).map(np.array)
     x, x_bar = data.draw(vec), data.draw(vec)
     eta = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n).map(np.array))
-    naive = evaluate_trigger("naive", eta, trigger_threshold("naive", x, x_bar, c, n, eta_bar))
+    naive = evaluate_trigger(eta, trigger_threshold("naive", x, x_bar, c, n, eta_bar))
     for mode in ("proposed", "relaxed"):
         threshold = trigger_threshold(mode, x, x_bar, c, n, eta_bar, epsilon)
         assert np.all(threshold >= eta_bar)
-        fires = evaluate_trigger(mode, eta, threshold) > 0.0
+        fires = evaluate_trigger(eta, threshold) > 0.0
         assert not np.any(fires & ~(naive > 0.0))
 
 
-GAMMA_RUN = prepare_run(case_preset("c"))
+# a memoised offline factor small enough for the every-model oracle's grid
+# solves to stay cheap, and smooth enough that its models pass gamma or not
+# with lip_f and their targets
+GAMMA_RUN = prepare_run(replace(case_preset("c"), offline_dataset_size=40, length_scale=0.3))
 GAMMA_GRID = domain_grid(GAMMA_RUN.plant.domain_lo, GAMMA_RUN.plant.domain_hi, LIP_GRID_STEP)
 
 
@@ -329,18 +330,26 @@ def gp_models(draw, kernel, noise):
     lip_f=st.floats(0.0, 40.0),
 )
 def test_gamma_check_equals_every_model_oracle(data, length_scale, noise, lip_f):
-    # shared factors come from with_outputs on the previous model, so the
-    # check reuses a full-grid sigma or probes a fresh factor, and the
-    # probe's proof of failure must never change the verdict; an add_point
-    # on the new model or on the one it shares with ends the sharing; lip_f
-    # sweeps gamma across the probed sigma, near ties included
+    # models on the run's memoised offline factor reuse its full-grid
+    # sigma once solved; every other model probes its own factor, also one
+    # with_outputs shares with the previous model, and an add_point on
+    # either ends the sharing; the probe's proof of failure must never
+    # change the verdict; lip_f sweeps gamma across the probed sigma, near
+    # ties included
     run = replace(GAMMA_RUN, bound=replace(GAMMA_RUN.bound, lip_f=lip_f))
     kernel = KernelParams(sigma_f=1.0, length_scale=length_scale)
     models = []
     for _ in range(data.draw(st.integers(1, 4))):
-        kind = data.draw(st.sampled_from(("own", "shared", "updated"))) if models else "own"
+        kinds = ("own", "memo", "shared", "updated") if models else ("own", "memo")
+        kind = data.draw(st.sampled_from(kinds))
         if kind == "own":
             models.append(data.draw(gp_models(kernel, noise)))
+            continue
+        if kind == "memo":
+            base = engine._offline_factor(GAMMA_RUN).model
+            amplitude = data.draw(st.sampled_from((0.0, 1.0, 100.0)))
+            ys = amplitude * np.sin(base.inputs / base.kernel.length_scale)
+            models.append(base.with_outputs(ys))
             continue
         m = models[-1].size
         ys = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
@@ -349,7 +358,7 @@ def test_gamma_check_equals_every_model_oracle(data, length_scale, noise, lip_f)
             writer = models[data.draw(st.sampled_from((-1, -2)))]
             writer.add_point(data.draw(st.floats(-1.5, 1.5)), data.draw(st.floats(-2.0, 2.0)))
     expected = gamma_ok_every_model(run.bound, models, GAMMA_GRID)
-    assert _check_gamma(run, models, GAMMA_GRID) is expected
+    assert _check_gamma(run, models) is expected
 
 
 @st.composite

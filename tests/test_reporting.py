@@ -205,8 +205,6 @@ class TestSummaryCsv:
             case="d", run=0, seed=7, final_error=0.01,
             trigger_counts=(1, 2, 3, 4), max_dataset_size=(1, 2, 3, 4),
             epsilon=0.78, domain_ok=True, gamma_ok=True,
-            max_sigma_after=0.009, last_event_t=0.5,
-            aux_mean_drift=0.0, aux_final_gap=0.0,
             failed=False, message="",
         )
         bad = McRunRecord(case="d", run=1, seed=8, failed=True, message="database full")

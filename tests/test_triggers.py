@@ -26,7 +26,7 @@ class TestRhoProposed:
             rho = rho_proposed(ETA_BAR, xt, 0.0, 1.0, 4, ETA_BAR)
             assert rho == pytest.approx(0.0, abs=VAL_TOL)
             threshold = trigger_threshold("proposed", xt, 0.0, 1.0, 4, ETA_BAR)
-            assert not evaluate_trigger("proposed", ETA_BAR, threshold) > 0.0
+            assert not evaluate_trigger(ETA_BAR, threshold) > 0.0
 
     def test_small_disagreement_fires_on_loose_bound(self):
         rho = rho_proposed(0.2, 0.05, 0.0, 1.0, 4, ETA_BAR)
@@ -97,7 +97,7 @@ class TestRhoRelaxed:
 
 class TestEvaluateTrigger:
     def test_fired_iff_rho_positive(self):
-        # evaluate_trigger returns the selected rule's rho, per agent; an
+        # evaluate_trigger returns the rule's rho, per agent; an
         # agent fires exactly where that rho is positive
         rng = SplitMix64(802)
         states = [
@@ -112,28 +112,20 @@ class TestEvaluateTrigger:
         }
         for mode, rule in rules.items():
             threshold = trigger_threshold(mode, x, xb, 1.0, 4, ETA_BAR, EPSILON)
-            rho = evaluate_trigger(mode, eta, threshold)
+            rho = evaluate_trigger(eta, threshold)
             assert rho.shape == eta.shape
             assert rho.tolist() == [rule(*s) for s in states]
             assert np.array_equal(rho > 0.0, [rule(*s) > 0.0 for s in states])
-
-    def test_none_mode_never_fires(self):
-        threshold = trigger_threshold("none", 1.0, 0.0, 1.0, 4, ETA_BAR)
-        rho = evaluate_trigger("none", 99.0, threshold)
-        assert not rho > 0.0
-        assert rho == 0.0
-        threshold = trigger_threshold("none", np.ones(4), np.zeros(4), 1.0, 4, ETA_BAR)
-        assert threshold.tolist() == [math.inf] * 4
-        rho = evaluate_trigger("none", np.full(4, 99.0), threshold)
-        assert rho.tolist() == [0.0] * 4
 
     def test_relaxed_needs_epsilon(self):
         with pytest.raises(InvalidParam):
             trigger_threshold("relaxed", 0.1, 0.0, 1.0, 4, ETA_BAR)
 
     def test_unknown_mode(self):
-        with pytest.raises(InvalidParam):
-            trigger_threshold("eager", 0.1, 0.0, 1.0, 4, ETA_BAR)
+        # offline learning evaluates no rule, so "none" is not one either
+        for mode in ("eager", "none"):
+            with pytest.raises(InvalidParam):
+                trigger_threshold(mode, 0.1, 0.0, 1.0, 4, ETA_BAR)
 
 
 class TestClassifyAgent:
@@ -182,9 +174,7 @@ class TestPartitionProperties:
             xt = rng.uniform(-threshold, threshold)  # c = 1: S1 region
             eta = rng.uniform(0.0, 10.0)
             x = rng.uniform(-1.5, 1.5)
-            rho = evaluate_trigger(
-                "proposed", eta, trigger_threshold("proposed", x, x - xt, 1.0, 4, eta_bar)
-            )
+            rho = evaluate_trigger(eta, trigger_threshold("proposed", x, x - xt, 1.0, 4, eta_bar))
             if rho > 0.0:
                 model = GpModel(self.KERNEL, self.NOISE_STD, max_points=1)
                 model.add_point(x, rng.normal())
