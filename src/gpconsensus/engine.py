@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -726,6 +725,10 @@ def run_monte_carlo(
     ]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool module costs every process about 20 ms,
+        # and only a sweep with more than one worker uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_mc_worker, tasks))
     else:

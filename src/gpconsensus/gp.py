@@ -16,14 +16,38 @@ expression of the Lipschitz-based validity (gamma) condition.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 from numpy.typing import NDArray
-from scipy.linalg import lapack
 
 from .errors import CapacityExceeded, InvalidParam, NumericalBreakdown
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, which holds ``dtrtrs``, without ``scipy.linalg``.
+
+    Importing ``scipy.linalg`` costs about 0.2 s per process, mostly its
+    array-API layer importing numpy.f2py, numpy.ma, numpy.testing and
+    numpy.random; the extension alone about 9 ms. ``import scipy`` runs the
+    wheel's own init. The qualified name lets a later ``import scipy.linalg``
+    reuse the initialised extension, so both see one ``dtrtrs``.
+    """
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy.linalg._flapack not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 # negative posterior variance beyond this magnitude is treated as a
 # numerical failure rather than silently clamped

@@ -356,6 +356,22 @@ class TestParserBehavior:
         assert proc.returncode == 0
         assert "config ok" in proc.stdout
 
+    def test_import_skips_scipy_linalg_and_the_process_pool(self):
+        # a fresh interpreter: this process has imported both long since
+        code = (
+            "import sys\n"
+            "import gpconsensus.cli\n"
+            "from gpconsensus import gp\n"
+            "print(sorted({'scipy.linalg', 'concurrent.futures.process'} & set(sys.modules)))\n"
+            "import scipy.linalg\n"
+            "print(gp.lapack.dtrtrs is scipy.linalg.lapack.dtrtrs)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True"]
+
 
 class TestReadme:
     def test_scenario_example_is_a_valid_config_naming_every_key(self):

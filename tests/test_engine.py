@@ -1,5 +1,6 @@
 """Closed-loop integrator, episode orchestration, and Monte Carlo sweeps."""
 
+import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
@@ -1274,7 +1275,7 @@ class TestMonteCarlo:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         base = self.base(t_end=0.01)
         run_monte_carlo(base, 1, ("d",), jobs=64)
         assert sizes == []  # one task runs in this process

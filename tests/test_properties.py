@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpconsensus import engine, gp
+from gpconsensus.config import SimConfig
 from gpconsensus.control import (
     ControlGains,
     auxiliary_rate,
@@ -29,6 +30,7 @@ from gpconsensus.engine import (
     init_state,
     prepare_run,
     rk4_step,
+    run_episode,
 )
 from gpconsensus.gp import GpModel, KernelParams, domain_grid, shared_factor_means
 from gpconsensus.plants import (
@@ -470,3 +472,81 @@ def test_sigma_bits_do_not_depend_on_the_batch(change, seed, n_points, data):
     offset = data.draw(st.integers(0, n_points - width))
     _, part = model.posterior_grid(xs[offset : offset + width])
     assert part.tobytes() == sigma[offset : offset + width].tobytes()
+
+
+GAIN = st.floats(0.5, 3.0)
+PLANTS = st.one_of(
+    st.tuples(
+        st.just("affine"),
+        st.fixed_dictionaries(
+            {"f_offset": st.floats(-5.0, 5.0), "f_slope": st.floats(-3.0, 3.0), "g_const": GAIN}
+        ),
+    ),
+    st.tuples(
+        st.just("sinusoidal"),
+        st.fixed_dictionaries(
+            {
+                "amplitude": st.floats(0.1, 3.0),
+                "frequency": st.floats(0.5, 10.0),
+                "offset": st.floats(-5.0, 5.0),
+                "g_const": GAIN,
+            }
+        ),
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    c=st.floats(1.0, 5.0),
+    c_bar=st.floats(0.5, 5.0),
+    bias_ratio=st.floats(0.01, 0.4),
+    plant=PLANTS,
+)
+def test_theorem_final_error_under_a_uniform_model_error(data, c, c_bar, bias_ratio, plant):
+    # The oracle_biased predictor errs by exactly e everywhere. Under the
+    # compensated law xt = x - x_bar then obeys xt' = e 1 - c (L + I) xt
+    # from xt(0) = 0, and 1 is an eigenvector of L + I with eigenvalue 1,
+    # so xt(t) = (1 - exp(-c t)) (e / c) 1: the final error tends to
+    # sqrt(N) e / c, inside the paper's radius 2 N e / c. x_bar keeps its
+    # mean x_bar* and contracts towards it by RK4's factor for c_bar
+    # lambda_2 per step. The input is held over a step, so f's change and
+    # x_bar's curvature within a step go uncompensated: at most
+    # dt^2 / 2 (lip_f |x'| + c_bar lambda_max |x_bar'|) per step, which
+    # the contraction exp(-c t) sums into ``hold``.
+    top = data.draw(irregular_graphs())
+    x0 = data.draw(agent_vector(top, st.floats(-1.0, 1.0)))
+    e = bias_ratio * c
+    t_end = math.ceil(500.0 / c) / 100.0  # exp(-c t_end) <= exp(-5)
+    name, params = plant
+    cfg = SimConfig(
+        n_agents=top.n_agents,
+        edges=tuple((i + 1, j + 1) for i, j in top.edges),
+        plant=name,
+        plant_params=tuple(params.items()),
+        c=c,
+        c_bar=c_bar,
+        learning="offline",
+        predictor="oracle_biased",
+        eps_bias=e,
+        t_end=t_end,
+        initial_states=tuple(x0.tolist()),
+    )
+    traj, summary = run_episode(cfg)
+    radius = math.sqrt(top.n_agents) * e / c
+    transient = radius * math.exp(-c * t_end)
+    eig = np.linalg.eigvalsh(top.laplacian)
+    speed = summary.bound.lip_f * np.linalg.norm(np.diff(traj.x, axis=0), axis=1)
+    speed_bar = c_bar * eig[-1] * np.linalg.norm(np.diff(traj.x_bar, axis=0), axis=1)
+    weight = np.exp(-c * (t_end - traj.t[1:]))
+    hold = cfg.dt / 2.0 * float(np.sum(weight * (speed + speed_bar))) + 1e-12
+    xt = float(np.linalg.norm(traj.x[-1] - traj.x_bar[-1]))
+    assert abs(xt - radius) <= transient + hold
+
+    z = -c_bar * cfg.dt * eig[1]
+    contraction = (1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** round(t_end / cfg.dt)
+    spread = float(np.linalg.norm(traj.x_bar[-1] - summary.x_bar_star))
+    assert abs(float(np.mean(traj.x_bar[-1])) - summary.x_bar_star) <= 1e-12
+    assert spread <= contraction * float(np.linalg.norm(x0 - summary.x_bar_star)) + 1e-12
+    assert abs(summary.final_error - radius) <= transient + hold + spread
