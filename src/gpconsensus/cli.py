@@ -67,10 +67,8 @@ def _resolve_config(case: str | None, config_path: str | None, seed: int | None)
 def cmd_run(args) -> int:
     config = _resolve_config(args.case, args.config, args.seed)
     traj, summary = run_episode(config)
-    label = summary.case_label or "custom"
     meta = build_meta(summary)
-    os.makedirs(args.out, exist_ok=True)
-    traj_path = os.path.join(args.out, f"trajectory_{label}.csv")
+    traj_path = os.path.join(args.out, f"trajectory_{summary.case_label}.csv")
     sum_path = os.path.join(args.out, "summary.csv")
     write_trajectory_csv(traj_path, traj, meta)
     write_summary_csv(sum_path, [summary], config.n_agents, meta)
@@ -85,8 +83,8 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
     print(
-        f"case={label} seed={summary.seed} final_err={fmt_float(summary.final_error)} "
-        f"epsilon={fmt_float(summary.epsilon)} "
+        f"case={summary.case_label} seed={summary.seed} "
+        f"final_err={fmt_float(summary.final_error)} epsilon={fmt_float(summary.epsilon)} "
         f"triggers={','.join(str(v) for v in summary.trigger_counts)}"
     )
     print(f"wrote {traj_path} and {sum_path}")
@@ -109,7 +107,6 @@ def cmd_montecarlo(args) -> int:
         "config": probe.digest,
         "source": git_describe(),
     }
-    os.makedirs(args.out, exist_ok=True)
     mc_path = os.path.join(args.out, "montecarlo.csv")
     sum_path = os.path.join(args.out, "summary.csv")
     write_montecarlo_csv(mc_path, mc, meta)
@@ -171,7 +168,6 @@ def cmd_appendix(args) -> int:
     print(f"sup |mean drift - eps_bias*t| = {fmt_float(mean_dev)}")
     if args.out:
         meta = build_meta(summary)
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "trajectory_appendix.csv")
         write_trajectory_csv(path, traj, meta)
         print(f"wrote {path}")

@@ -14,11 +14,6 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
-CONTROLLERS = ("conventional", "proposed")
-LEARNING_MODES = ("offline", "online_naive", "online_proposed", "online_relaxed")
-PREDICTORS = ("gp", "oracle", "oracle_biased")
-MEASUREMENT_MODES = ("oracle", "finite_difference")
-
 # learning strategy -> trigger rule driving online data collection; offline
 # learning collects no data and evaluates no rule
 TRIGGER_FOR_LEARNING = {
@@ -27,6 +22,11 @@ TRIGGER_FOR_LEARNING = {
     "online_proposed": "proposed",
     "online_relaxed": "relaxed",
 }
+
+CONTROLLERS = ("conventional", "proposed")
+LEARNING_MODES = tuple(TRIGGER_FOR_LEARNING)
+PREDICTORS = ("gp", "oracle_biased")
+MEASUREMENT_MODES = ("oracle", "finite_difference")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,10 @@ _CHOICES = {
 
 
 def validate_config(config: SimConfig) -> SimConfig:
-    """Check cross-field constraints; returns the config unchanged."""
+    """Check config-level and cross-field rules; returns the config unchanged.
+
+    Parameter ranges are checked by the value objects ``prepare_run`` builds.
+    """
 
     def fail(msg: str):
         raise ConfigError(msg)
@@ -89,8 +92,6 @@ def validate_config(config: SimConfig) -> SimConfig:
     for name, value in config.plant_params:
         if not math.isfinite(value):
             fail(f"plant.{name} must be finite, got {value}")
-    if config.lip_f is not None and not math.isfinite(config.lip_f):
-        fail(f"lip_f must be finite or auto, got {config.lip_f}")
     if not (config.dt > 0.0):
         fail(f"dt must be > 0, got {config.dt}")
     if config.t_end < 0.0:
@@ -101,21 +102,11 @@ def validate_config(config: SimConfig) -> SimConfig:
             f"t_end must be a whole number of dt steps, got t_end={config.t_end} "
             f"and dt={config.dt}"
         )
-    if not (config.c > 0.0 and config.c_bar > 0.0):
-        fail(f"gains must be > 0, got c={config.c}, c_bar={config.c_bar}")
-    if not (config.sigma_f > 0.0 and config.length_scale > 0.0):
-        fail("kernel hyperparameters must be > 0")
-    if not (config.sigma_n > 0.0):
-        fail(f"sigma_n must be > 0, got {config.sigma_n}")
-    if not (0.0 < config.delta < 1.0):
-        fail(f"delta must be in (0,1), got {config.delta}")
     if config.controller == "proposed" and config.delta >= 1.0 / config.n_agents:
         fail(
             f"delta must be < 1/N = {1.0 / config.n_agents:.6g} for the "
             f"compensated controller, got {config.delta}"
         )
-    if not (config.tau > 0.0):
-        fail(f"tau must be > 0, got {config.tau}")
     if config.seed < 0:
         fail(f"seed must be >= 0, got {config.seed}")
     if config.max_points < 1:
@@ -137,10 +128,8 @@ def validate_config(config: SimConfig) -> SimConfig:
             )
         if not all(math.isfinite(v) for v in config.initial_states):
             fail("initial_states must be finite")
-    if config.lip_f is not None and config.lip_f < 0.0:
-        fail(f"lip_f must be >= 0, got {config.lip_f}")
     if config.predictor != "gp":
-        # oracle predictors bypass the model entirely; pairing them with a
+        # the oracle predictor bypasses the model entirely; pairing it with a
         # learning trigger or an offline dataset would be contradictory
         if config.learning != "offline" or config.offline_dataset_size != 0:
             fail("predictor overrides require learning=offline and no offline data")

@@ -420,9 +420,7 @@ def step(state: SimState, run: RunContext, rng: SplitMix64, need_eta: bool = Tru
     if cfg.predictor == "gp":
         f_hat = mu
     else:
-        f_hat = np.array([run.plant.f_true(xi) for xi in x_snap.tolist()])
-        if cfg.predictor == "oracle_biased":
-            f_hat = f_hat - cfg.eps_bias
+        f_hat = np.array([run.plant.f_true(xi) for xi in x_snap.tolist()]) - cfg.eps_bias
 
     if cfg.controller == "proposed":
         rate = auxiliary_rate(xb_snap, run.topology, run.gains)
@@ -470,7 +468,7 @@ class Trajectory:
 class EpisodeSummary:
     """End-of-run facts for one episode."""
 
-    case_label: str
+    case_label: str  # "custom" for a config with no label
     seed: int
     final_error: float
     trigger_counts: tuple[int, ...]
@@ -540,6 +538,7 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
     """
     run = prepare_run(config)
     cfg = run.config
+    case_label = cfg.case_label or "custom"
     n = cfg.n_agents
     rng = SplitMix64(cfg.seed)
     state = init_state(run, rng)
@@ -600,13 +599,10 @@ def run_episode(config: SimConfig) -> tuple[Trajectory, EpisodeSummary]:
         traj.dataset_size[row] = [m.size for m in state.models]
         gamma_ok = _check_gamma(run, state.models)
     except GpConsensusError as exc:
-        raise type(exc)(
-            f"{exc} [case={cfg.case_label or 'custom'} seed={cfg.seed} "
-            f"t={state.t:.6g}]"
-        ) from exc
+        raise type(exc)(f"{exc} [case={case_label} seed={cfg.seed} t={state.t:.6g}]") from exc
 
     summary = EpisodeSummary(
-        case_label=cfg.case_label,
+        case_label=case_label,
         seed=cfg.seed,
         final_error=float(traj.err[-1]),
         trigger_counts=tuple(int(v) for v in state.trigger_counts),

@@ -628,8 +628,8 @@ class BoundContext:
         if not (self.noise_std > 0.0):
             raise InvalidParam(f"noise_std must be > 0, got {self.noise_std}")
         beta = compute_beta(self.delta, self.tau, self.domain_lo, self.domain_hi)
-        if self.lip_f < 0.0:
-            raise InvalidParam("lip_f must be >= 0")
+        if not (0.0 <= self.lip_f < math.inf):
+            raise InvalidParam(f"lip_f must be finite and >= 0, got {self.lip_f}")
         root_beta = math.sqrt(beta)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "root_beta", root_beta)

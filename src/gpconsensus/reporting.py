@@ -103,7 +103,7 @@ def bound_meta(bound: BoundContext, epsilon: float) -> dict:
 def build_meta(summary: EpisodeSummary) -> dict:
     """Standard meta block for a single episode."""
     return {
-        "case": summary.case_label or "custom",
+        "case": summary.case_label,
         "seed": summary.seed,
         **bound_meta(summary.bound, summary.epsilon),
         "x_bar_star": summary.x_bar_star,
@@ -136,18 +136,30 @@ def write_trajectory_csv(path, traj: Trajectory, meta: dict) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def summary_rows(records: list) -> list[list[str]]:
-    """Normalize EpisodeSummary / McRunRecord objects to summary.csv rows."""
-    rows = []
+def write_summary_csv(path, records: list, n_agents: int, meta: dict) -> None:
+    """One row per episode: final error, trigger counts, sizes, flags.
+
+    Records are EpisodeSummary or McRunRecord objects; a failed run's 2N
+    per-agent cells are empty.
+    """
+    buf = io.StringIO()
+    buf.write(_meta_block(meta))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["case", "run", "seed", "final_err"]
+        + [f"trig_{i + 1}" for i in range(n_agents)]
+        + [f"d_{i + 1}" for i in range(n_agents)]
+        + ["epsilon", "domain_ok", "gamma_ok", "failed"]
+    )
     for rec in records:
         if isinstance(rec, EpisodeSummary):
-            case, run, failed = rec.case_label or "custom", 0, False
+            case, run, failed = rec.case_label, 0, False
         else:
             case, run, failed = rec.case, rec.run, rec.failed
-        rows.append(
+        per_agent = rec.trigger_counts + rec.max_dataset_size
+        writer.writerow(
             [case, str(run), str(rec.seed), fmt_float(rec.final_error)]
-            + [str(v) for v in rec.trigger_counts]
-            + [str(v) for v in rec.max_dataset_size]
+            + ([""] * (2 * n_agents) if failed else [str(v) for v in per_agent])
             + [
                 fmt_float(rec.epsilon),
                 fmt_bool(rec.domain_ok),
@@ -155,27 +167,6 @@ def summary_rows(records: list) -> list[list[str]]:
                 fmt_bool(failed),
             ]
         )
-    return rows
-
-
-def write_summary_csv(path, records: list, n_agents: int, meta: dict) -> None:
-    """One row per episode: final error, trigger counts, sizes, flags."""
-    buf = io.StringIO()
-    buf.write(_meta_block(meta))
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (
-        ["case", "run", "seed", "final_err"]
-        + [f"trig_{i + 1}" for i in range(n_agents)]
-        + [f"d_{i + 1}" for i in range(n_agents)]
-        + ["epsilon", "domain_ok", "gamma_ok", "failed"]
-    )
-    writer.writerow(header)
-    for row in summary_rows(records):
-        # failed runs carry no per-agent values; pad to keep columns aligned
-        expected = len(header)
-        if len(row) < expected:
-            row = row[:4] + [""] * (2 * n_agents) + row[4:]
-        writer.writerow(row)
     _atomic_write(path, buf.getvalue())
 
 

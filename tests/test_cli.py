@@ -76,6 +76,20 @@ class TestValidate:
         assert err.startswith("config error:")
         assert f"{line.split()[0]} must be finite" in err
 
+    def test_oracle_predictor_rejected(self, tmp_path, capsys):
+        # f - 0.0 == f, so oracle_biased at eps_bias = 0 is the exact oracle
+        cfg = write_config(tmp_path, "predictor = oracle\nlearning = offline\n")
+        out_dir = tmp_path / "out"
+        for argv in (
+            ["validate", "--config", cfg],
+            ["run", "--config", cfg, "--out", str(out_dir)],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert "predictor must be one of ('gp', 'oracle_biased'), got 'oracle'" in err
+        assert not out_dir.exists()
+
 
 class TestRun:
     def test_writes_trajectory_and_summary(self, tmp_path, capsys):
@@ -303,6 +317,45 @@ class TestMonteCarlo:
         assert "case=d runs=0 median_final_err=nan" in captured.out
         assert "1 runs failed" in captured.err
         assert (out_dir / "summary.csv").exists()
+
+
+class TestParameterRanges:
+    """ControlGains, KernelParams and BoundContext check the ranges; exit 1."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "c = 0",
+            "c_bar = -2",
+            "sigma_f = 0",
+            "length_scale = -0.05",
+            "sigma_n = 0",
+            "delta = 0",
+            "tau = 0",
+            "lip_f = -1",
+            "lip_f = inf",
+        ],
+    )
+    def test_every_command_exits_1_before_any_output(
+        self, tmp_path, capsys, monkeypatch, line
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started on a rejected sweep")
+
+        monkeypatch.setattr(engine, "_mc_worker", no_run)
+        cfg = write_config(tmp_path, line + "\n")
+        out_dir = str(tmp_path / "out")
+        field = line.split()[0]
+        name = "noise_std" if field == "sigma_n" else field
+        for argv in (
+            ["validate", "--case", "d", "--config", cfg],
+            ["run", "--case", "d", "--config", cfg, "--out", out_dir],
+            ["montecarlo", "--config", cfg, "--runs", "1", "--out", out_dir],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {name} must be")
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
 class TestAppendix:

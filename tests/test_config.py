@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from gpconsensus.config import (
-    LEARNING_MODES,
     TRIGGER_FOR_LEARNING,
     SimConfig,
     config_hash,
@@ -14,12 +13,28 @@ from gpconsensus.config import (
     parse_config_text,
     validate_config,
 )
+from gpconsensus.engine import prepare_run
 from gpconsensus.errors import ConfigError, InvalidParam
 from gpconsensus.presets import BENCH_INITIAL_STATES, CASE_IDS, apply_case, case_preset
 
 
 def valid(**kw) -> SimConfig:
     return SimConfig(**kw)
+
+
+# parameter ranges checked by the value objects that prepare_run builds
+RANGE_CASES = [
+    ("c", 0.0),
+    ("c_bar", -2.0),
+    ("sigma_f", 0.0),
+    ("length_scale", -0.05),
+    ("sigma_n", 0.0),
+    ("delta", 0.0),
+    ("tau", 0.0),
+    ("lip_f", -1.0),
+    ("lip_f", float("nan")),
+    ("lip_f", float("inf")),
+]
 
 
 class TestValidation:
@@ -41,24 +56,30 @@ class TestValidation:
             ("dt", 0.0),
             ("dt", -1e-3),
             ("t_end", -1.0),
-            ("c", 0.0),
-            ("c_bar", -2.0),
-            ("sigma_f", 0.0),
-            ("length_scale", -0.05),
-            ("sigma_n", 0.0),
-            ("delta", 0.0),
             ("delta", 1.0),
-            ("tau", 0.0),
             ("seed", -1),
             ("max_points", 0),
             ("log_stride", 0),
             ("offline_dataset_size", -1),
-        ],
+        ]
+        + RANGE_CASES,
     )
     def test_rejects_bad_field(self, field, value):
+        # a range is its value object's rule, the rest validate_config's;
+        # the CLI exits 1 on both errors
         cfg = dataclasses.replace(SimConfig(), **{field: value})
-        with pytest.raises(ConfigError):
-            validate_config(cfg)
+        with pytest.raises(InvalidParam if (field, value) in RANGE_CASES else ConfigError):
+            prepare_run(cfg)
+
+    @pytest.mark.parametrize("field,value", RANGE_CASES)
+    def test_value_objects_own_the_ranges(self, field, value):
+        # ControlGains, KernelParams and BoundContext state these ranges;
+        # validate_config does not state them again
+        cfg = dataclasses.replace(SimConfig(), **{field: value})
+        validate_config(cfg)
+        name = "noise_std" if field == "sigma_n" else field
+        with pytest.raises(InvalidParam, match=f"^{name} must be"):
+            prepare_run(cfg)
 
     def test_delta_cap_applies_to_compensated_controller(self):
         # the probabilistic union over agents needs delta < 1/N
@@ -82,9 +103,9 @@ class TestValidation:
 
     def test_oracle_predictor_needs_static_model(self):
         with pytest.raises(ConfigError):
-            validate_config(valid(predictor="oracle", learning="online_naive"))
+            validate_config(valid(predictor="oracle_biased", learning="online_naive"))
         with pytest.raises(ConfigError):
-            validate_config(valid(predictor="oracle", offline_dataset_size=10))
+            validate_config(valid(predictor="oracle_biased", offline_dataset_size=10))
         validate_config(
             valid(
                 predictor="oracle_biased",
@@ -112,9 +133,11 @@ class TestValidation:
         ],
     )
     def test_rejects_non_finite_float(self, field, value):
+        # lip_f may be None (auto), so BoundContext, not validate_config, checks it
         cfg = dataclasses.replace(SimConfig(), **{field: value})
-        with pytest.raises(ConfigError, match=f"{field} must be finite"):
-            validate_config(cfg)
+        error = InvalidParam if field == "lip_f" else ConfigError
+        with pytest.raises(error, match=f"{field} must be finite"):
+            prepare_run(cfg)
 
     def test_rejects_non_finite_plant_param(self):
         cfg = valid(plant="affine", plant_params=(("f_offset", float("nan")), ("f_slope", 0.0)))
@@ -134,7 +157,6 @@ class TestValidation:
             validate_config(valid(t_end=0.0016))
 
     def test_every_learning_mode_has_a_trigger(self):
-        assert set(TRIGGER_FOR_LEARNING) == set(LEARNING_MODES)
         assert TRIGGER_FOR_LEARNING["offline"] is None
         assert TRIGGER_FOR_LEARNING["online_proposed"] == "proposed"
 

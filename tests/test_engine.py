@@ -58,7 +58,7 @@ def fast_oracle_config(**kw) -> SimConfig:
         plant="appendix",
         controller="proposed",
         learning="offline",
-        predictor="oracle",
+        predictor="oracle_biased",
         offline_dataset_size=0,
         initial_states=(0.5, -0.25, 0.75, -1.0),
         t_end=1.0,

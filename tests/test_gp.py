@@ -631,6 +631,11 @@ class TestBoundContext:
         with pytest.raises(InvalidParam):
             make_ctx(lip_f=-1.0)
 
+    @pytest.mark.parametrize("lip_f", [math.nan, math.inf])
+    def test_non_finite_lipschitz_rejected(self, lip_f):
+        with pytest.raises(InvalidParam, match="lip_f must be finite and >= 0"):
+            make_ctx(lip_f=lip_f)
+
 
 class TestErrorBound:
     def test_empty_dataset_bound(self):

@@ -18,7 +18,6 @@ from gpconsensus.reporting import (
     fmt_bool,
     fmt_float,
     git_describe,
-    summary_rows,
     write_montecarlo_csv,
     write_summary_csv,
     write_trajectory_csv,
@@ -201,29 +200,46 @@ class TestSummaryCsv:
         assert row[-1] == "false"
 
     def test_failed_run_padded_to_header_width(self, tmp_path):
-        ok = McRunRecord(
-            case="d", run=0, seed=7, final_error=0.01,
-            trigger_counts=(1, 2, 3, 4), max_dataset_size=(1, 2, 3, 4),
-            epsilon=0.78, domain_ok=True, gamma_ok=True,
-            failed=False, message="",
-        )
+        traj, summary = short_episode()
         bad = McRunRecord(case="d", run=1, seed=8, failed=True, message="database full")
         path = tmp_path / "summary.csv"
-        write_summary_csv(path, [ok, bad], 4, {"runs": 2})
+        write_summary_csv(path, [summary, bad], 4, {"runs": 2})
         rows = rows_without_meta(path)
         assert len(rows) == 3
         width = len(rows[0])
         assert all(len(r) == width for r in rows[1:])
         failed_row = rows[2]
-        assert failed_row[-1] == "true"
+        assert failed_row[:4] == ["d", "1", "8", "nan"]
+        assert failed_row[-4:] == ["nan", "false", "false", "true"]
         # per-agent cells are blank on a failed run
         assert failed_row[4:12] == [""] * 8
 
     def test_mixed_record_kinds_share_schema(self, tmp_path):
+        # an episode's row is the row of a sweep record with run 0 and the
+        # same values, next to a failed sweep record in the same file
         traj, summary = short_episode()
-        rows = summary_rows([summary])
-        assert rows[0][1] == "0"
-        assert rows[0][0] == "d"
+        record = McRunRecord(
+            case="d", run=0, seed=summary.seed, final_error=summary.final_error,
+            trigger_counts=summary.trigger_counts,
+            max_dataset_size=summary.max_dataset_size,
+            epsilon=summary.epsilon, domain_ok=summary.domain_ok,
+            gamma_ok=summary.gamma_ok,
+        )
+        bad = McRunRecord(case="d", run=1, seed=8, failed=True)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_summary_csv(a, [summary, bad], 4, {})
+        write_summary_csv(b, [record, bad], 4, {})
+        assert a.read_bytes() == b.read_bytes()
+        assert rows_without_meta(a)[1][:2] == ["d", "0"]
+
+    def test_label_less_episode_reads_custom(self, tmp_path):
+        traj, summary = short_episode(case_label="")
+        assert summary.case_label == "custom"
+        path = tmp_path / "summary.csv"
+        write_summary_csv(path, [summary], 4, build_meta(summary))
+        text = path.read_text(encoding="utf-8")
+        assert "# case = custom\n" in text
+        assert rows_without_meta(path)[1][0] == "custom"
 
 
 @pytest.fixture(scope="module")
